@@ -352,13 +352,15 @@ func RequireBearerToken(token string, h http.Handler) http.Handler {
 func NewCoolingFMU(cfg CoolingConfig) (*FMU, error) { return fmu.Instantiate(cfg) }
 
 // DashboardServer is the viz REST backend; expose it (rather than just
-// its Handler) to enable request logging or read the middleware metrics.
+// its Handler) to enable request logging or register its request
+// metrics.
 type DashboardServer = viz.Server
 
 // NewDashboardServer builds the dashboard REST backend over the twin.
 // Its Handler serves /api/status, /api/series, /api/cooling, /api/run,
-// /api/experiments, and /api/metrics behind the shared middleware stack
-// (panic recovery, request metrics, optional logging via SetLogf).
+// and /api/experiments behind the shared middleware stack (panic
+// recovery, request metrics, optional logging via SetLogf); attach the
+// request metrics to a registry with RegisterMetrics to scrape them.
 func NewDashboardServer(tw *Twin) *DashboardServer {
 	return viz.NewServer(tw, tw.ExperimentRunner())
 }
@@ -439,19 +441,6 @@ func TrainPUESurrogate(cfg CoolingConfig, heatsMW, wetBulbsC []float64) (*PUESur
 	return surrogate.TrainPUESurrogate(cfg, heatsMW, wetBulbsC)
 }
 
-// SetpointStudy parameterizes the L5 autonomous setpoint optimization
-// (Fig. 2's autonomous-twin level).
-type SetpointStudy = optimize.Config
-
-// SetpointResult reports the optimization outcome.
-type SetpointResult = optimize.Result
-
-// OptimizeSetpoints scores candidate plant setpoints on the simulated
-// plant and returns the feasible minimum-auxiliary-power configuration.
-func OptimizeSetpoints(plantCfg CoolingConfig, study SetpointStudy) (*SetpointResult, error) {
-	return optimize.Run(plantCfg, study)
-}
-
 // Closed-loop co-design optimizer (the L5 autonomous level run against
 // the full twin): a multi-objective search over design and control
 // knobs whose outer loop evaluates candidates as sweep-service
@@ -466,7 +455,9 @@ type (
 	// OptimizeConstraint bounds a report metric for feasibility.
 	OptimizeConstraint = optimize.Constraint
 	// OptimizeStudySpec configures a study: knobs, objectives,
-	// constraints, population, generations, surrogate/UQ settings.
+	// constraints, population, generations, surrogate/UQ settings. A
+	// plant setpoint study is one over the cooling.ct_supply_set_c and
+	// cooling.htw_header_set_pa knobs.
 	OptimizeStudySpec = optimize.StudySpec
 	// OptimizeCandidate is one twin-evaluated design point.
 	OptimizeCandidate = optimize.Candidate

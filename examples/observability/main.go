@@ -11,8 +11,8 @@
 //     and prints each scenario's attempt timeline (queue wait, run
 //     time, outcome, cache tier), showing the memory-tier hits of the
 //     duplicate scenarios,
-//  4. cross-checks the JSON snapshot endpoint against the exposition —
-//     both read the same counters, so the values must match exactly.
+//  4. cross-checks the sweep's own status against the exposition: every
+//     cache-served scenario is a hit and every simulated one a miss.
 package main
 
 import (
@@ -111,24 +111,13 @@ func main() {
 	}
 	fmt.Println()
 
-	// --- 4. JSON snapshot == exposition -------------------------------
-	rec = httptest.NewRecorder()
-	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/api/sweeps/metrics", nil))
-	var snap struct {
-		Cache struct {
-			Hits   uint64 `json:"hits"`
-			Misses uint64 `json:"misses"`
-		} `json:"cache"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		log.Fatal(err)
-	}
+	// --- 4. Sweep status == exposition --------------------------------
 	hits := series[`exadigit_cache_hits_total{}`]
 	misses := series[`exadigit_cache_misses_total{}`]
-	fmt.Printf("single source of truth: JSON hits=%d misses=%d, exposition hits=%g misses=%g\n",
-		snap.Cache.Hits, snap.Cache.Misses, hits, misses)
-	if float64(snap.Cache.Hits) != hits || float64(snap.Cache.Misses) != misses {
-		log.Fatal("JSON snapshot and exposition disagree")
+	fmt.Printf("single source of truth: sweep cached=%d done=%d, exposition hits=%g misses=%g\n",
+		st.Cached, st.Done, hits, misses)
+	if float64(st.Cached) != hits || float64(st.Done) != misses {
+		log.Fatal("sweep status and exposition disagree")
 	}
-	fmt.Println("JSON snapshot and Prometheus exposition reconcile exactly")
+	fmt.Println("sweep status and Prometheus exposition reconcile exactly")
 }

@@ -6,10 +6,9 @@
 // logging, and request metrics (per-route status-class counters, an
 // in-flight gauge, panics, and a request-duration histogram).
 //
-// The counters live in one place: Metrics is both the JSON snapshot
-// the /api/metrics endpoints serve and — once attached to an
-// obs.Registry via Register — the storage behind the Prometheus
-// /metrics series, so the two views cannot drift.
+// The counters live in one place: Metrics is the storage behind the
+// Prometheus /metrics series once attached to an obs.Registry via
+// Register, and the heartbeat Summary line reads the same counters.
 package httpmw
 
 import (
@@ -31,10 +30,10 @@ type Logf func(format string, args ...any)
 // statusClasses are the response classes tracked per route.
 var statusClasses = [4]string{"2xx", "3xx", "4xx", "5xx"}
 
-// routeMetrics is one route's counters.
+// routeMetrics is one route's completed requests by status class
+// (2xx, 3xx, 4xx, 5xx).
 type routeMetrics struct {
-	requests atomic.Uint64
-	classes  [4]atomic.Uint64 // 2xx, 3xx, 4xx, 5xx
+	classes [4]atomic.Uint64
 }
 
 // maxRoutes bounds the per-route map so a path scan cannot grow it (and
@@ -152,68 +151,10 @@ func allHexDash(s string) bool {
 	return true
 }
 
-// RouteSnapshot is one route's JSON view.
-type RouteSnapshot struct {
-	Requests  uint64 `json:"requests"`
-	Status2xx uint64 `json:"status_2xx"`
-	Status3xx uint64 `json:"status_3xx"`
-	Status4xx uint64 `json:"status_4xx"`
-	Status5xx uint64 `json:"status_5xx"`
-}
-
-// MetricsSnapshot is the JSON-serializable view of the counters.
-type MetricsSnapshot struct {
-	Requests  uint64  `json:"requests"`
-	InFlight  int64   `json:"in_flight"`
-	Panics    uint64  `json:"panics"`
-	Status2xx uint64  `json:"status_2xx"`
-	Status3xx uint64  `json:"status_3xx"`
-	Status4xx uint64  `json:"status_4xx"`
-	Status5xx uint64  `json:"status_5xx"`
-	AvgMs     float64 `json:"avg_ms"`
-	// Routes breaks the totals down by normalized route.
-	Routes map[string]RouteSnapshot `json:"routes,omitempty"`
-}
-
-// Snapshot returns a point-in-time copy of the counters. Totals are the
-// sums over routes, so the JSON view and the per-route registry series
-// always reconcile.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		InFlight: m.inFlight.Load(),
-		Panics:   m.panics.Load(),
-	}
-	m.mu.RLock()
-	if len(m.routes) > 0 {
-		s.Routes = make(map[string]RouteSnapshot, len(m.routes))
-	}
-	for route, rt := range m.routes {
-		rs := RouteSnapshot{
-			Requests:  rt.requests.Load(),
-			Status2xx: rt.classes[0].Load(),
-			Status3xx: rt.classes[1].Load(),
-			Status4xx: rt.classes[2].Load(),
-			Status5xx: rt.classes[3].Load(),
-		}
-		s.Routes[route] = rs
-		s.Requests += rs.Requests
-		s.Status2xx += rs.Status2xx
-		s.Status3xx += rs.Status3xx
-		s.Status4xx += rs.Status4xx
-		s.Status5xx += rs.Status5xx
-	}
-	m.mu.RUnlock()
-	h := m.hist().Snapshot()
-	if h.Count > 0 {
-		s.AvgMs = h.Sum / float64(h.Count) * 1e3
-	}
-	return s
-}
-
 // Register attaches the stack's counters to a metrics registry under
 // the given server label (e.g. "sweeps", "dashboard"). The registry
-// reads the same storage Snapshot does — registration adds a view, not
-// a second set of counters. Several stacks may share one registry; each
+// reads the counters at scrape time — registration adds a view, not a
+// second set of counters. Several stacks may share one registry; each
 // contributes its own server="..." series to the shared families.
 func (m *Metrics) Register(reg *obs.Registry, server string) {
 	reg.VecFunc(obs.KindCounter, "exadigit_http_requests_total",
@@ -248,22 +189,26 @@ func (m *Metrics) Register(reg *obs.Registry, server string) {
 		})
 }
 
-// Summary renders the snapshot as one log line — the periodic metrics
+// Summary renders the counters as one log line — the periodic metrics
 // heartbeat and the final flush a graceful shutdown emits so a server's
-// request accounting is not lost with the process.
+// request accounting is not lost with the process. requests counts
+// completed requests, the sum of the status classes.
 func (m *Metrics) Summary() string {
-	s := m.Snapshot()
+	var classes [4]uint64
+	m.mu.RLock()
+	for _, rt := range m.routes {
+		for i := range classes {
+			classes[i] += rt.classes[i].Load()
+		}
+	}
+	m.mu.RUnlock()
+	avgMs := 0.0
+	if h := m.hist().Snapshot(); h.Count > 0 {
+		avgMs = h.Sum / float64(h.Count) * 1e3
+	}
 	return fmt.Sprintf("requests=%d in_flight=%d 2xx=%d 3xx=%d 4xx=%d 5xx=%d panics=%d avg_ms=%.2f",
-		s.Requests, s.InFlight, s.Status2xx, s.Status3xx, s.Status4xx, s.Status5xx, s.Panics, s.AvgMs)
-}
-
-// Handler serves the snapshot as JSON — mount it as the stack's
-// /api/metrics endpoint.
-func (m *Metrics) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(m.Snapshot())
-	})
+		classes[0]+classes[1]+classes[2]+classes[3], m.inFlight.Load(),
+		classes[0], classes[1], classes[2], classes[3], m.panics.Load(), avgMs)
 }
 
 // RequireBearer enforces an Authorization: Bearer token in front of h —
@@ -348,7 +293,6 @@ func Wrap(h http.Handler, logf Logf, m *Metrics) http.Handler {
 		var rt *routeMetrics
 		if m != nil {
 			rt = m.route(r.URL.Path)
-			rt.requests.Add(1)
 			m.inFlight.Add(1)
 		}
 		defer func() {

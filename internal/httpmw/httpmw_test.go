@@ -1,7 +1,6 @@
 package httpmw
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +9,40 @@ import (
 
 	"exadigit/internal/obs"
 )
+
+// scrape serves reg's exposition, parses it strictly and returns its
+// series by ID.
+func scrape(t *testing.T, reg *obs.Registry) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	reg.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	e, err := obs.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatalf("exposition invalid: %v", err)
+	}
+	return e.Series()
+}
+
+// registered returns a fresh Metrics attached to a fresh registry under
+// server="test".
+func registered() (*Metrics, *obs.Registry) {
+	reg := obs.NewRegistry()
+	m := &Metrics{}
+	m.Register(reg, "test")
+	return m, reg
+}
+
+// requests reads one exadigit_http_requests_total series of server
+// "test".
+func requests(series map[string]float64, route, code string) float64 {
+	return series[obs.ExpoSeries{Name: "exadigit_http_requests_total",
+		Labels: map[string]string{"server": "test", "route": route, "code": code}}.ID()]
+}
+
+// labelValue reads one single-label series of server "test".
+func labelValue(series map[string]float64, name string) float64 {
+	return series[obs.ExpoSeries{Name: name, Labels: map[string]string{"server": "test"}}.ID()]
+}
 
 func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 	mux := http.NewServeMux()
@@ -24,7 +57,7 @@ func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 	})
 
 	var logged []string
-	m := &Metrics{}
+	m, reg := registered()
 	srv := httptest.NewServer(Wrap(mux, func(format string, args ...any) {
 		logged = append(logged, fmt.Sprintf(format, args...))
 	}, m))
@@ -50,12 +83,19 @@ func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 		t.Fatalf("/boom = %d", code)
 	}
 
-	s := m.Snapshot()
-	if s.Requests != 3 || s.Status2xx != 1 || s.Status4xx != 1 || s.Status5xx != 1 || s.Panics != 1 {
-		t.Fatalf("snapshot = %+v", s)
+	series := scrape(t, reg)
+	if requests(series, "/ok", "2xx") != 1 || requests(series, "/missing", "4xx") != 1 ||
+		requests(series, "/boom", "5xx") != 1 || labelValue(series, "exadigit_http_panics_total") != 1 {
+		t.Fatalf("series = %v", series)
 	}
-	if s.InFlight != 0 {
-		t.Fatalf("in-flight = %d after requests drained", s.InFlight)
+	if got := labelValue(series, "exadigit_http_request_duration_seconds_count"); got != 3 {
+		t.Fatalf("duration count = %v, want 3", got)
+	}
+	if got := labelValue(series, "exadigit_http_request_duration_seconds_sum"); got <= 0 {
+		t.Fatalf("duration sum = %v, want > 0", got)
+	}
+	if got := labelValue(series, "exadigit_http_in_flight_requests"); got != 0 {
+		t.Fatalf("in-flight = %v after requests drained", got)
 	}
 	if len(logged) != 3 {
 		t.Fatalf("logged %d lines: %v", len(logged), logged)
@@ -71,23 +111,18 @@ func TestWrapRecoversPanicsAndCounts(t *testing.T) {
 	}
 }
 
+// TestMetricsHandler: a request through the wrapped handler shows up in
+// the registry's /metrics exposition.
 func TestMetricsHandler(t *testing.T) {
-	m := &Metrics{}
+	m, reg := registered()
 	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), nil, m)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 	if _, err := srv.Client().Get(srv.URL + "/"); err != nil {
 		t.Fatal(err)
 	}
-
-	rec := httptest.NewRecorder()
-	m.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/metrics", nil))
-	var snap MetricsSnapshot
-	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
-	}
-	if snap.Requests != 1 || snap.Status2xx != 1 {
-		t.Fatalf("snapshot over HTTP = %+v", snap)
+	if got := requests(scrape(t, reg), "/", "2xx"); got != 1 {
+		t.Fatalf("/ 2xx series over HTTP = %v, want 1", got)
 	}
 }
 
@@ -107,7 +142,7 @@ func TestWrapPreservesFlusher(t *testing.T) {
 // TestSummaryLine: the shutdown flush line carries the counters a server
 // would otherwise lose at exit.
 func TestSummaryLine(t *testing.T) {
-	m := &Metrics{}
+	m, reg := registered()
 	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/missing" {
 			http.NotFound(w, r)
@@ -126,6 +161,11 @@ func TestSummaryLine(t *testing.T) {
 			t.Errorf("summary %q missing %q", sum, want)
 		}
 	}
+	// The line reads the counters the exposition serves.
+	series := scrape(t, reg)
+	if requests(series, "/", "2xx") != 1 || requests(series, "/missing", "4xx") != 1 {
+		t.Errorf("exposition disagrees with summary %q: %v", sum, series)
+	}
 }
 
 // TestRouteLabel pins the cardinality-bounding normalization: generated
@@ -142,10 +182,10 @@ func TestRouteLabel(t *testing.T) {
 		"/api/sweeps/sw-18f3a2b4c5d6e7f8-9abc":        "/api/sweeps/{id}",
 		"/api/sweeps/sw-18f3a2b4c5d6e7f8-9abc/stream": "/api/sweeps/{id}/stream",
 		"/api/sweeps/sw-NOPE/results":                 "/api/sweeps/sw-NOPE/results", // uppercase: not an id
-		"/api/experiments/42":       "/api/experiments/{id}",
-		"/api/run/deadbeefdeadbeef": "/api/run/{id}",     // 16 hex chars
-		"/api/run/deadbeef":         "/api/run/deadbeef", // too short for a hash
-		"/metrics":                  "/metrics",
+		"/api/experiments/42":                         "/api/experiments/{id}",
+		"/api/run/deadbeefdeadbeef":                   "/api/run/{id}",     // 16 hex chars
+		"/api/run/deadbeef":                           "/api/run/deadbeef", // too short for a hash
+		"/metrics":                                    "/metrics",
 	}
 	for path, want := range cases {
 		if got := RouteLabel(path); got != want {
@@ -154,13 +194,13 @@ func TestRouteLabel(t *testing.T) {
 	}
 }
 
-// TestPerRouteSnapshot: the snapshot breaks totals down by normalized
-// route and the totals are exactly the per-route sums.
+// TestPerRouteSnapshot: the exposition breaks requests down by
+// normalized route, and the per-route series sum to the request count.
 func TestPerRouteSnapshot(t *testing.T) {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/sweeps/{id}", func(w http.ResponseWriter, r *http.Request) {})
 	mux.HandleFunc("GET /api/sweeps", func(w http.ResponseWriter, r *http.Request) {})
-	m := &Metrics{}
+	m, reg := registered()
 	srv := httptest.NewServer(Wrap(mux, nil, m))
 	defer srv.Close()
 
@@ -171,25 +211,24 @@ func TestPerRouteSnapshot(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	s := m.Snapshot()
-	if s.Requests != 4 || s.Status2xx != 3 || s.Status4xx != 1 {
-		t.Fatalf("snapshot totals = %+v", s)
+	series := scrape(t, reg)
+	if got := requests(series, "/api/sweeps/{id}", "2xx"); got != 2 {
+		t.Fatalf("/api/sweeps/{id} 2xx = %v, want 2", got)
 	}
-	if rt := s.Routes["/api/sweeps/{id}"]; rt.Requests != 2 || rt.Status2xx != 2 {
-		t.Fatalf("/api/sweeps/{id} route = %+v", rt)
+	if got := requests(series, "/api/sweeps", "2xx"); got != 1 {
+		t.Fatalf("/api/sweeps 2xx = %v, want 1", got)
 	}
-	if rt := s.Routes["/api/sweeps"]; rt.Requests != 1 {
-		t.Fatalf("/api/sweeps route = %+v", rt)
+	if got := requests(series, "/nope", "4xx"); got != 1 {
+		t.Fatalf("/nope 4xx = %v, want 1", got)
 	}
-	if rt := s.Routes["/nope"]; rt.Status4xx != 1 {
-		t.Fatalf("/nope route = %+v", rt)
+	var sum float64
+	for id, v := range series {
+		if strings.HasPrefix(id, "exadigit_http_requests_total{") {
+			sum += v
+		}
 	}
-	var sum uint64
-	for _, rt := range s.Routes {
-		sum += rt.Requests
-	}
-	if sum != s.Requests {
-		t.Fatalf("route sum %d != total %d", sum, s.Requests)
+	if sum != 4 {
+		t.Fatalf("route series sum %v != 4 requests", sum)
 	}
 }
 
@@ -197,28 +236,36 @@ func TestPerRouteSnapshot(t *testing.T) {
 // scan past the cap accumulates under "other" instead of growing the
 // exposition's cardinality without bound.
 func TestRouteOverflowLandsInOther(t *testing.T) {
-	m := &Metrics{}
+	m, reg := registered()
 	h := Wrap(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}), nil, m)
 	for i := 0; i < maxRoutes+10; i++ {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", fmt.Sprintf("/scan/path-%c%d", 'a'+i%26, i), nil))
 	}
-	s := m.Snapshot()
-	if len(s.Routes) > maxRoutes+1 {
-		t.Fatalf("route map grew to %d entries (cap %d + other)", len(s.Routes), maxRoutes)
+	series := scrape(t, reg)
+	var routes int
+	var total float64
+	for id, v := range series {
+		if strings.HasPrefix(id, "exadigit_http_requests_total{") {
+			total += v
+			if strings.Contains(id, `code="2xx"`) {
+				routes++
+			}
+		}
 	}
-	other, ok := s.Routes["other"]
-	if !ok || other.Requests == 0 {
-		t.Fatalf("overflow routes not folded into other: %+v", s.Routes["other"])
+	if routes > maxRoutes+1 {
+		t.Fatalf("route series grew to %d routes (cap %d + other)", routes, maxRoutes)
 	}
-	if s.Requests != maxRoutes+10 {
-		t.Fatalf("total %d, want %d", s.Requests, maxRoutes+10)
+	if other := requests(series, "other", "2xx"); other == 0 {
+		t.Fatal("overflow routes not folded into other")
+	}
+	if total != maxRoutes+10 {
+		t.Fatalf("total %v, want %d", total, maxRoutes+10)
 	}
 }
 
-// TestRegisterExposesSeries: Register is a view over the same storage
-// Snapshot reads — the exposition's per-route series sum to the JSON
-// totals, and two stacks share one family under distinct server labels.
+// TestRegisterExposesSeries: two stacks share one family under
+// distinct server labels.
 func TestRegisterExposesSeries(t *testing.T) {
 	reg := obs.NewRegistry()
 	ma, mb := &Metrics{}, &Metrics{}

@@ -1,9 +1,9 @@
-// Package la implements the small dense linear-algebra kernels needed by
-// the ODE integrators and the hydraulic network solver: LU factorization
-// with partial pivoting, tridiagonal (Thomas) solves, and basic vector
-// operations. Systems in this codebase are tiny (tens of unknowns), so the
-// implementation favours clarity and numerical robustness over blocking or
-// parallelism.
+// Package la implements the small dense linear-algebra kernels the
+// twin needs: a dense solve (LU with partial pivoting) for the
+// surrogate's ridge normal equations, tridiagonal (Thomas) solves, and
+// the vector operations of the ODE integrators. Systems in this codebase
+// are tiny (tens of unknowns), so the implementation favours clarity and
+// numerical robustness over blocking or parallelism.
 package la
 
 import (
@@ -39,20 +39,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Clone returns a deep copy of the matrix.
-func (m *Matrix) Clone() *Matrix {
-	c := NewMatrix(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// Zero resets all elements to zero, retaining the allocation.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // MulVec computes y = M·x. y must have length Rows and x length Cols.
 func (m *Matrix) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
@@ -68,22 +54,21 @@ func (m *Matrix) MulVec(x, y []float64) {
 	}
 }
 
-// LU holds an LU factorization with partial pivoting (PA = LU).
-type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diagonal implied) and U
-	piv  []int
-	sign int
+// luFactors holds an LU factorization with partial pivoting (PA = LU).
+type luFactors struct {
+	n   int
+	lu  []float64 // packed L (unit diagonal implied) and U
+	piv []int
 }
 
-// Factorize computes the LU decomposition of square matrix a with partial
-// pivoting. The input matrix is not modified.
-func Factorize(a *Matrix) (*LU, error) {
+// factorize computes the LU decomposition of square matrix a with
+// partial pivoting. The input matrix is not modified.
+func factorize(a *Matrix) (*luFactors, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("la: Factorize requires square matrix, got %dx%d", a.Rows, a.Cols)
+		return nil, fmt.Errorf("la: factorize requires square matrix, got %dx%d", a.Rows, a.Cols)
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &luFactors{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, a.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -104,7 +89,6 @@ func Factorize(a *Matrix) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -121,12 +105,12 @@ func Factorize(a *Matrix) (*LU, error) {
 	return f, nil
 }
 
-// Solve solves A·x = b using the factorization. b is not modified; the
+// solve solves A·x = b using the factorization. b is not modified; the
 // solution is written into x (which may alias b).
-func (f *LU) Solve(b, x []float64) error {
+func (f *luFactors) solve(b, x []float64) error {
 	n := f.n
 	if len(b) != n || len(x) != n {
-		return fmt.Errorf("la: Solve dimension mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
+		return fmt.Errorf("la: solve dimension mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
 	}
 	// Apply permutation into a scratch copy to allow x aliasing b.
 	y := make([]float64, n)
@@ -157,23 +141,14 @@ func (f *LU) Solve(b, x []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factorized matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
-// SolveDense is a convenience wrapper: factorize a and solve a·x = b.
+// SolveDense factorizes a and solves a·x = b.
 func SolveDense(a *Matrix, b []float64) ([]float64, error) {
-	f, err := Factorize(a)
+	f, err := factorize(a)
 	if err != nil {
 		return nil, err
 	}
 	x := make([]float64, len(b))
-	if err := f.Solve(b, x); err != nil {
+	if err := f.solve(b, x); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -227,26 +202,6 @@ func Dot(a, b []float64) float64 {
 	return s
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-// NormInf returns the maximum-magnitude norm of v.
-func NormInf(v []float64) float64 {
-	m := 0.0
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // AXPY computes y ← a·x + y element-wise.
 func AXPY(a float64, x, y []float64) {
 	if len(x) != len(y) {
@@ -254,12 +209,5 @@ func AXPY(a float64, x, y []float64) {
 	}
 	for i, xv := range x {
 		y[i] += a * xv
-	}
-}
-
-// Scale multiplies every element of v by a in place.
-func Scale(a float64, v []float64) {
-	for i := range v {
-		v[i] *= a
 	}
 }

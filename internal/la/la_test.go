@@ -52,8 +52,10 @@ func TestLUResidualRandom(t *testing.T) {
 		for i := range r {
 			r[i] -= b[i]
 		}
-		if NormInf(r) > 1e-9 {
-			t.Errorf("trial %d (n=%d): residual %v too large", trial, n, NormInf(r))
+		for i := range r {
+			if math.Abs(r[i]) > 1e-9 {
+				t.Errorf("trial %d (n=%d): residual %v too large", trial, n, r[i])
+			}
 		}
 	}
 }
@@ -64,23 +66,8 @@ func TestLUSingular(t *testing.T) {
 	a.Set(0, 1, 2)
 	a.Set(1, 0, 2)
 	a.Set(1, 1, 4)
-	if _, err := Factorize(a); err == nil {
+	if _, err := SolveDense(a, []float64{1, 1}); err == nil {
 		t.Error("expected ErrSingular for rank-deficient matrix")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 3)
-	a.Set(0, 1, 8)
-	a.Set(1, 0, 4)
-	a.Set(1, 1, 6)
-	f, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := f.Det(); math.Abs(d-(-14)) > 1e-12 {
-		t.Errorf("det = %v, want -14", d)
 	}
 }
 
@@ -104,12 +91,12 @@ func TestSolveAliasing(t *testing.T) {
 	a := NewMatrix(2, 2)
 	a.Set(0, 0, 4)
 	a.Set(1, 1, 2)
-	f, err := Factorize(a)
+	f, err := factorize(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := []float64{8, 6}
-	if err := f.Solve(b, b); err != nil {
+	if err := f.solve(b, b); err != nil {
 		t.Fatal(err)
 	}
 	if b[0] != 2 || b[1] != 3 {
@@ -183,20 +170,10 @@ func TestVectorOps(t *testing.T) {
 	if Dot(a, b) != 32 {
 		t.Errorf("Dot = %v", Dot(a, b))
 	}
-	if math.Abs(Norm2([]float64{3, 4})-5) > 1e-15 {
-		t.Errorf("Norm2 = %v", Norm2([]float64{3, 4}))
-	}
-	if NormInf([]float64{-7, 2}) != 7 {
-		t.Errorf("NormInf = %v", NormInf([]float64{-7, 2}))
-	}
 	y := []float64{1, 1, 1}
 	AXPY(2, a, y)
 	if y[0] != 3 || y[1] != 5 || y[2] != 7 {
 		t.Errorf("AXPY = %v", y)
-	}
-	Scale(0.5, y)
-	if y[0] != 1.5 || y[1] != 2.5 || y[2] != 3.5 {
-		t.Errorf("Scale = %v", y)
 	}
 }
 
@@ -224,19 +201,5 @@ func TestMulVecIdentityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMatrixCloneIndependent(t *testing.T) {
-	a := NewMatrix(2, 2)
-	a.Set(0, 0, 1)
-	c := a.Clone()
-	c.Set(0, 0, 9)
-	if a.At(0, 0) != 1 {
-		t.Error("Clone shares storage with original")
-	}
-	a.Zero()
-	if a.At(0, 0) != 0 {
-		t.Error("Zero failed")
 	}
 }

@@ -7,82 +7,78 @@ import (
 	"exadigit/internal/la"
 )
 
-// AdaptiveMethod names an embedded Runge–Kutta pair.
-type AdaptiveMethod int
+// AdaptiveConfig configures the adaptive integrator.
+type AdaptiveConfig struct {
+	RelTol   float64 // relative tolerance (default 1e-6)
+	AbsTol   float64 // absolute tolerance (default 1e-8)
+	HInit    float64 // initial step (default: span/100)
+	HMin     float64 // smallest permitted step (default: span*1e-12)
+	HMax     float64 // largest permitted step (default: span)
+	MaxSteps int     // safety cap on accepted+rejected steps (default 1e6)
+}
 
-const (
-	// DOPRI5 is the Dormand–Prince 5(4) pair (7 stages; ode45's method).
-	DOPRI5 AdaptiveMethod = iota
-	// RKF45 is Fehlberg's classic 4(5) pair (6 stages).
-	RKF45
-)
-
-// String returns the method name.
-func (m AdaptiveMethod) String() string {
-	switch m {
-	case DOPRI5:
-		return "dopri5"
-	case RKF45:
-		return "rkf45"
+func (c *AdaptiveConfig) defaults(span float64) {
+	if c.RelTol <= 0 {
+		c.RelTol = 1e-6
 	}
-	return fmt.Sprintf("adaptive(%d)", int(m))
+	if c.AbsTol <= 0 {
+		c.AbsTol = 1e-8
+	}
+	if c.HInit <= 0 {
+		c.HInit = span / 100
+	}
+	if c.HMin <= 0 {
+		c.HMin = span * 1e-12
+	}
+	if c.HMax <= 0 {
+		c.HMax = span
+	}
+	if c.MaxSteps <= 0 {
+		c.MaxSteps = 1_000_000
+	}
 }
 
-// rkPair is one embedded pair's Butcher tableau in slice form: the
-// higher-order weights propagate the solution, the lower-order weights
-// supply the error estimate.
-type rkPair struct {
-	stages     int
-	a          []float64
-	b          [][]float64
-	cHigh, cLo []float64
+// AdaptiveStats reports the work performed by an adaptive integration.
+type AdaptiveStats struct {
+	Accepted int
+	Rejected int
+	LastStep float64
 }
+
+// Dormand–Prince 5(4) coefficients (the RK45 pair behind MATLAB's ode45
+// and SciPy's default solver). Seven stages; the 5th-order solution
+// propagates, the embedded 4th-order solution provides the error
+// estimate.
+const dpStages = 7
 
 var (
-	pairRKF45 = &rkPair{
-		stages: 6,
-		a:      rkfA[:],
-		b: [][]float64{
-			rkfB[0][:], rkfB[1][:], rkfB[2][:],
-			rkfB[3][:], rkfB[4][:], rkfB[5][:],
-		},
-		cHigh: rkfC5[:],
-		cLo:   rkfC4[:],
+	dpA = [dpStages]float64{0, 1.0 / 5, 3.0 / 10, 4.0 / 5, 8.0 / 9, 1, 1}
+	dpB = [dpStages][dpStages - 1]float64{
+		{},
+		{1.0 / 5},
+		{3.0 / 40, 9.0 / 40},
+		{44.0 / 45, -56.0 / 15, 32.0 / 9},
+		{19372.0 / 6561, -25360.0 / 2187, 64448.0 / 6561, -212.0 / 729},
+		{9017.0 / 3168, -355.0 / 33, 46732.0 / 5247, 49.0 / 176, -5103.0 / 18656},
+		{35.0 / 384, 0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84},
 	}
-	pairDOPRI5 = &rkPair{
-		stages: 7,
-		a:      dpA[:],
-		b: [][]float64{
-			dpB[0][:], dpB[1][:], dpB[2][:], dpB[3][:],
-			dpB[4][:], dpB[5][:], dpB[6][:],
-		},
-		cHigh: dpC5[:],
-		cLo:   dpC4[:],
-	}
+	dpC5 = [dpStages]float64{35.0 / 384, 0, 500.0 / 1113, 125.0 / 192, -2187.0 / 6784, 11.0 / 84, 0}
+	dpC4 = [dpStages]float64{5179.0 / 57600, 0, 7571.0 / 16695, 393.0 / 640, -92097.0 / 339200, 187.0 / 2100, 1.0 / 40}
 )
 
-func pairFor(m AdaptiveMethod) *rkPair {
-	if m == RKF45 {
-		return pairRKF45
-	}
-	return pairDOPRI5
-}
-
-// AdaptiveStepper advances a System with an embedded Runge–Kutta pair
-// under mixed absolute/relative error control. Unlike the standalone
-// IntegrateAdaptive/IntegrateDormandPrince entry points, the stepper is
+// AdaptiveStepper advances a System with the Dormand–Prince 5(4) pair
+// under mixed absolute/relative error control. The stepper is
 // persistent: its stage buffers are allocated once at construction and
 // the accepted step size is carried (warm-started) across Integrate
 // calls, so a hot loop that repeatedly integrates short spans — the
 // cooling plant's control periods — performs no per-call allocation and
 // no per-call step-size rediscovery.
 type AdaptiveStepper struct {
-	sys  System
-	pair *rkPair
-	cfg  AdaptiveConfig
+	sys System
+	cfg AdaptiveConfig
 
 	// stage and state scratch, sized to sys.Dim() at construction
-	k          [][]float64
+	k          [dpStages][]float64
 	ytmp       []float64
 	yhi, ylo   []float64
 	h          float64 // warm-started step suggestion; 0 until first use
@@ -91,13 +87,11 @@ type AdaptiveStepper struct {
 
 // NewAdaptiveStepper builds a persistent stepper for sys. The config's
 // zero fields are defaulted per Integrate call relative to that call's
-// span, exactly as the standalone entry points default them.
-func NewAdaptiveStepper(sys System, method AdaptiveMethod, cfg AdaptiveConfig) *AdaptiveStepper {
+// span.
+func NewAdaptiveStepper(sys System, cfg AdaptiveConfig) *AdaptiveStepper {
 	n := sys.Dim()
-	p := pairFor(method)
 	s := &AdaptiveStepper{
-		sys: sys, pair: p, cfg: cfg,
-		k:    make([][]float64, p.stages),
+		sys: sys, cfg: cfg,
 		ytmp: make([]float64, n),
 		yhi:  make([]float64, n),
 		ylo:  make([]float64, n),
@@ -138,7 +132,6 @@ func (s *AdaptiveStepper) Integrate(t0, t1 float64, y []float64) (AdaptiveStats,
 	}
 	hSug = math.Max(cfg.HMin, math.Min(hSug, cfg.HMax))
 
-	p := s.pair
 	t := t0
 	for t < t1 {
 		if st.Accepted+st.Rejected > cfg.MaxSteps {
@@ -149,18 +142,18 @@ func (s *AdaptiveStepper) Integrate(t0, t1 float64, y []float64) (AdaptiveStats,
 		if t+h > t1 {
 			h = t1 - t
 		}
-		for stage := 0; stage < p.stages; stage++ {
+		for stage := 0; stage < dpStages; stage++ {
 			copy(s.ytmp, y)
 			for j := 0; j < stage; j++ {
-				la.AXPY(h*p.b[stage][j], s.k[j], s.ytmp)
+				la.AXPY(h*dpB[stage][j], s.k[j], s.ytmp)
 			}
-			s.sys.Derivatives(t+p.a[stage]*h, s.ytmp, s.k[stage])
+			s.sys.Derivatives(t+dpA[stage]*h, s.ytmp, s.k[stage])
 		}
 		copy(s.yhi, y)
 		copy(s.ylo, y)
-		for stage := 0; stage < p.stages; stage++ {
-			la.AXPY(h*p.cHigh[stage], s.k[stage], s.yhi)
-			la.AXPY(h*p.cLo[stage], s.k[stage], s.ylo)
+		for stage := 0; stage < dpStages; stage++ {
+			la.AXPY(h*dpC5[stage], s.k[stage], s.yhi)
+			la.AXPY(h*dpC4[stage], s.k[stage], s.ylo)
 		}
 		// Error estimate scaled by mixed absolute/relative tolerance.
 		errNorm := 0.0

@@ -12,16 +12,25 @@ var stiffLinear = Func{N: 1, F: func(t float64, y, dydt []float64) {
 	dydt[0] = -200*(y[0]-math.Sin(t)) + math.Cos(t)
 }}
 
+// TestAdaptiveStepperMatchesStandalone: a persistent stepper advanced
+// over five one-second spans lands where a fresh stepper integrating
+// the whole span in one call does, and both on the analytic answer.
 func TestAdaptiveStepperMatchesStandalone(t *testing.T) {
 	cfg := AdaptiveConfig{RelTol: 1e-9, AbsTol: 1e-12}
-	for _, m := range []AdaptiveMethod{RKF45, DOPRI5} {
-		y := []float64{1}
-		s := NewAdaptiveStepper(decay, m, cfg)
-		if _, err := s.Integrate(0, 5, y); err != nil {
+	whole := []float64{1}
+	if _, err := integrateDP(decay, 0, 5, whole, cfg); err != nil {
+		t.Fatal(err)
+	}
+	pieces := []float64{1}
+	s := NewAdaptiveStepper(decay, cfg)
+	for t0 := 0.0; t0 < 5; t0++ {
+		if _, err := s.Integrate(t0, t0+1, pieces); err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(y[0]-math.Exp(-5)) > 1e-8 {
-			t.Errorf("%v: y(5) = %v, want %v", m, y[0], math.Exp(-5))
+	}
+	for _, y := range []float64{whole[0], pieces[0]} {
+		if math.Abs(y-math.Exp(-5)) > 1e-8 {
+			t.Errorf("y(5) = %v, want %v", y, math.Exp(-5))
 		}
 	}
 }
@@ -40,7 +49,7 @@ func TestAdaptiveConvergenceWithTolerance(t *testing.T) {
 	w0, w1 := exact()
 	run := func(tol float64) float64 {
 		y := []float64{1, 0}
-		st, err := IntegrateDormandPrince(sys, 0, 1, y, AdaptiveConfig{RelTol: tol, AbsTol: tol * 1e-2})
+		st, err := integrateDP(sys, 0, 1, y, AdaptiveConfig{RelTol: tol, AbsTol: tol * 1e-2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +70,7 @@ func TestAdaptiveConvergenceWithTolerance(t *testing.T) {
 // counted and the solution must still land on the analytic answer.
 func TestAdaptiveStiffAccounting(t *testing.T) {
 	y := []float64{2}
-	s := NewAdaptiveStepper(stiffLinear, DOPRI5, AdaptiveConfig{RelTol: 1e-7, AbsTol: 1e-9, HInit: 0.5})
+	s := NewAdaptiveStepper(stiffLinear, AdaptiveConfig{RelTol: 1e-7, AbsTol: 1e-9, HInit: 0.5})
 	st, err := s.Integrate(0, 1, y)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +93,7 @@ func TestAdaptiveStiffAccounting(t *testing.T) {
 // takes no more accepted steps than the first and starts from the
 // previously accepted step.
 func TestAdaptiveStepperWarmStart(t *testing.T) {
-	s := NewAdaptiveStepper(oscillator, DOPRI5, AdaptiveConfig{RelTol: 1e-6, AbsTol: 1e-9})
+	s := NewAdaptiveStepper(oscillator, AdaptiveConfig{RelTol: 1e-6, AbsTol: 1e-9})
 	y := []float64{1, 0}
 	first, err := s.Integrate(0, 1, y)
 	if err != nil {
@@ -105,15 +114,14 @@ func TestAdaptiveStepperWarmStart(t *testing.T) {
 
 // TestAdaptiveStepperDoesNotAllocate pins the persistent stepper's
 // allocation-freedom across Integrate calls — the property the cooling
-// hot path depends on (the standalone entry points allocate their stage
-// vectors per call).
+// hot path depends on.
 func TestAdaptiveStepperDoesNotAllocate(t *testing.T) {
 	sys := Func{N: 8, F: func(t float64, y, dydt []float64) {
 		for i := range y {
 			dydt[i] = -0.1 * (y[i] - 20)
 		}
 	}}
-	s := NewAdaptiveStepper(sys, DOPRI5, AdaptiveConfig{RelTol: 1e-6, AbsTol: 1e-8})
+	s := NewAdaptiveStepper(sys, AdaptiveConfig{RelTol: 1e-6, AbsTol: 1e-8})
 	y := make([]float64, 8)
 	for i := range y {
 		y[i] = 30
@@ -132,21 +140,12 @@ func TestAdaptiveStepperDoesNotAllocate(t *testing.T) {
 }
 
 func TestAdaptiveStepperValidation(t *testing.T) {
-	s := NewAdaptiveStepper(decay, RKF45, AdaptiveConfig{})
+	s := NewAdaptiveStepper(decay, AdaptiveConfig{})
 	y := []float64{1}
 	if _, err := s.Integrate(3, 3, y); err != nil || y[0] != 1 {
 		t.Error("zero span should no-op")
 	}
 	if _, err := s.Integrate(0, 1, []float64{1, 2}); err == nil {
 		t.Error("dimension mismatch should fail")
-	}
-}
-
-func TestAdaptiveMethodString(t *testing.T) {
-	if DOPRI5.String() != "dopri5" || RKF45.String() != "rkf45" {
-		t.Error("method names wrong")
-	}
-	if AdaptiveMethod(9).String() == "" {
-		t.Error("unknown method should still produce a name")
 	}
 }

@@ -1,24 +1,19 @@
 // Package ode implements the ordinary-differential-equation integrators
 // that substitute for the Modelica/Dymola solver stack used by the paper's
 // cooling model. The thermo-fluid network is a small (tens of states),
-// mildly stiff lumped-parameter system, so we provide:
+// mildly stiff lumped-parameter system, and the plant uses two schemes:
 //
-//   - explicit fixed-step methods (Euler, Heun, classic RK4) for fast,
-//     predictable stepping at the 1 s plant time step;
-//   - an adaptive embedded Runge–Kutta-Fehlberg 4(5) method for accuracy
-//     studies and for components with fast local dynamics;
-//   - an implicit (backward) Euler method with a damped Newton iteration
-//     and finite-difference Jacobians for stiff configurations.
+//   - the classic fixed-step RK4 method (FixedStepper) for fast,
+//     bit-reproducible stepping at the 1 s plant time step;
+//   - the adaptive embedded Dormand–Prince 5(4) pair (AdaptiveStepper)
+//     under error control, behind the plant's quiescence fast path.
 //
-// All integrators operate on the System interface and never retain caller
-// slices across calls, so a single System may be advanced by different
-// integrators in sequence (e.g. implicit start-up transient, explicit
-// steady operation).
+// Both operate on the System interface and never retain caller slices
+// across calls.
 package ode
 
 import (
 	"errors"
-	"fmt"
 	"math"
 
 	"exadigit/internal/la"
@@ -46,50 +41,25 @@ func (f Func) Dim() int { return f.N }
 func (f Func) Derivatives(t float64, y, dydt []float64) { f.F(t, y, dydt) }
 
 // ErrStepFailed is returned when an integrator cannot complete a step
-// (e.g. Newton divergence or step-size underflow).
+// (step budget exhausted or a non-finite error estimate).
 var ErrStepFailed = errors.New("ode: step failed")
 
-// Method names a fixed-step explicit scheme.
-type Method int
-
-const (
-	// Euler is the 1st-order forward Euler method.
-	Euler Method = iota
-	// Heun is the 2nd-order explicit trapezoidal (Heun) method.
-	Heun
-	// RK4 is the classic 4th-order Runge–Kutta method.
-	RK4
-)
-
-// String returns the method name.
-func (m Method) String() string {
-	switch m {
-	case Euler:
-		return "euler"
-	case Heun:
-		return "heun"
-	case RK4:
-		return "rk4"
-	}
-	return fmt.Sprintf("method(%d)", int(m))
-}
-
-// FixedStepper advances a System with a fixed-step explicit method.
-// The zero value is not usable; call NewFixedStepper.
+// FixedStepper advances a System with the classic fourth-order
+// Runge–Kutta method at a fixed step. The zero value is not usable; call
+// NewFixedStepper.
 type FixedStepper struct {
-	sys    System
-	method Method
+	sys System
 	// scratch buffers sized to sys.Dim(), reused across steps to avoid
 	// per-step allocation in the simulation hot loop.
 	k1, k2, k3, k4, tmp []float64
 }
 
-// NewFixedStepper builds a stepper for sys using the given method.
-func NewFixedStepper(sys System, method Method) *FixedStepper {
+// NewFixedStepper builds an RK4 stepper for sys.
+func NewFixedStepper(sys System) *FixedStepper {
 	n := sys.Dim()
 	return &FixedStepper{
-		sys: sys, method: method,
-		k1: make([]float64, n), k2: make([]float64, n),
+		sys: sys,
+		k1:  make([]float64, n), k2: make([]float64, n),
 		k3: make([]float64, n), k4: make([]float64, n),
 		tmp: make([]float64, n),
 	}
@@ -101,34 +71,18 @@ func (s *FixedStepper) Step(t float64, y []float64, h float64) float64 {
 	if len(y) != n {
 		panic("ode: state length mismatch")
 	}
-	switch s.method {
-	case Euler:
-		s.sys.Derivatives(t, y, s.k1)
-		la.AXPY(h, s.k1, y)
-	case Heun:
-		s.sys.Derivatives(t, y, s.k1)
-		copy(s.tmp, y)
-		la.AXPY(h, s.k1, s.tmp)
-		s.sys.Derivatives(t+h, s.tmp, s.k2)
-		for i := 0; i < n; i++ {
-			y[i] += h * 0.5 * (s.k1[i] + s.k2[i])
-		}
-	case RK4:
-		s.sys.Derivatives(t, y, s.k1)
-		copy(s.tmp, y)
-		la.AXPY(h/2, s.k1, s.tmp)
-		s.sys.Derivatives(t+h/2, s.tmp, s.k2)
-		copy(s.tmp, y)
-		la.AXPY(h/2, s.k2, s.tmp)
-		s.sys.Derivatives(t+h/2, s.tmp, s.k3)
-		copy(s.tmp, y)
-		la.AXPY(h, s.k3, s.tmp)
-		s.sys.Derivatives(t+h, s.tmp, s.k4)
-		for i := 0; i < n; i++ {
-			y[i] += h / 6 * (s.k1[i] + 2*s.k2[i] + 2*s.k3[i] + s.k4[i])
-		}
-	default:
-		panic("ode: unknown method " + s.method.String())
+	s.sys.Derivatives(t, y, s.k1)
+	copy(s.tmp, y)
+	la.AXPY(h/2, s.k1, s.tmp)
+	s.sys.Derivatives(t+h/2, s.tmp, s.k2)
+	copy(s.tmp, y)
+	la.AXPY(h/2, s.k2, s.tmp)
+	s.sys.Derivatives(t+h/2, s.tmp, s.k3)
+	copy(s.tmp, y)
+	la.AXPY(h, s.k3, s.tmp)
+	s.sys.Derivatives(t+h, s.tmp, s.k4)
+	for i := 0; i < n; i++ {
+		y[i] += h / 6 * (s.k1[i] + 2*s.k2[i] + 2*s.k3[i] + s.k4[i])
 	}
 	return t + h
 }
@@ -146,181 +100,4 @@ func (s *FixedStepper) Integrate(t0, t1 float64, y []float64, hMax float64) floa
 		t = s.Step(t, y, h)
 	}
 	return t1
-}
-
-// AdaptiveConfig configures the adaptive RKF45 integrator.
-type AdaptiveConfig struct {
-	RelTol   float64 // relative tolerance (default 1e-6)
-	AbsTol   float64 // absolute tolerance (default 1e-8)
-	HInit    float64 // initial step (default: span/100)
-	HMin     float64 // smallest permitted step (default: span*1e-12)
-	HMax     float64 // largest permitted step (default: span)
-	MaxSteps int     // safety cap on accepted+rejected steps (default 1e6)
-}
-
-func (c *AdaptiveConfig) defaults(span float64) {
-	if c.RelTol <= 0 {
-		c.RelTol = 1e-6
-	}
-	if c.AbsTol <= 0 {
-		c.AbsTol = 1e-8
-	}
-	if c.HInit <= 0 {
-		c.HInit = span / 100
-	}
-	if c.HMin <= 0 {
-		c.HMin = span * 1e-12
-	}
-	if c.HMax <= 0 {
-		c.HMax = span
-	}
-	if c.MaxSteps <= 0 {
-		c.MaxSteps = 1_000_000
-	}
-}
-
-// AdaptiveStats reports the work performed by an adaptive integration.
-type AdaptiveStats struct {
-	Accepted int
-	Rejected int
-	LastStep float64
-}
-
-// RKF45 coefficients (Fehlberg's classic embedded 4(5) pair).
-var (
-	rkfA = [6]float64{0, 1.0 / 4, 3.0 / 8, 12.0 / 13, 1, 1.0 / 2}
-	rkfB = [6][5]float64{
-		{},
-		{1.0 / 4},
-		{3.0 / 32, 9.0 / 32},
-		{1932.0 / 2197, -7200.0 / 2197, 7296.0 / 2197},
-		{439.0 / 216, -8, 3680.0 / 513, -845.0 / 4104},
-		{-8.0 / 27, 2, -3544.0 / 2565, 1859.0 / 4104, -11.0 / 40},
-	}
-	rkfC4 = [6]float64{25.0 / 216, 0, 1408.0 / 2565, 2197.0 / 4104, -1.0 / 5, 0}
-	rkfC5 = [6]float64{16.0 / 135, 0, 6656.0 / 12825, 28561.0 / 56430, -9.0 / 50, 2.0 / 55}
-)
-
-// IntegrateAdaptive advances y from t0 to t1 with the RKF45 embedded pair,
-// controlling local error against cfg tolerances. y is updated in place.
-// It is a convenience wrapper over a one-shot AdaptiveStepper; hot loops
-// that integrate repeatedly should hold a persistent stepper instead.
-func IntegrateAdaptive(sys System, t0, t1 float64, y []float64, cfg AdaptiveConfig) (AdaptiveStats, error) {
-	return NewAdaptiveStepper(sys, RKF45, cfg).Integrate(t0, t1, y)
-}
-
-// ImplicitStepper advances a System with backward Euler, solving the
-// per-step nonlinear system with a damped Newton iteration and a
-// finite-difference Jacobian. Suitable for stiff loops (e.g. small
-// thermal masses coupled to large flows).
-type ImplicitStepper struct {
-	sys     System
-	MaxIter int     // Newton iterations per step (default 25)
-	Tol     float64 // convergence tolerance on the Newton update (default 1e-10)
-
-	f, fp, res, dy, ypred []float64
-	jac                   *la.Matrix
-}
-
-// NewImplicitStepper builds a backward-Euler stepper for sys.
-func NewImplicitStepper(sys System) *ImplicitStepper {
-	n := sys.Dim()
-	return &ImplicitStepper{
-		sys: sys, MaxIter: 25, Tol: 1e-10,
-		f: make([]float64, n), fp: make([]float64, n),
-		res: make([]float64, n), dy: make([]float64, n),
-		ypred: make([]float64, n),
-		jac:   la.NewMatrix(n, n),
-	}
-}
-
-// Step advances y in place from t by h with backward Euler. Returns the
-// new time or an error if Newton fails to converge.
-func (s *ImplicitStepper) Step(t float64, y []float64, h float64) (float64, error) {
-	n := s.sys.Dim()
-	if len(y) != n {
-		return t, fmt.Errorf("ode: state length %d != dim %d", len(y), n)
-	}
-	// Predictor: forward Euler.
-	s.sys.Derivatives(t, y, s.f)
-	copy(s.ypred, y)
-	la.AXPY(h, s.f, s.ypred)
-
-	tn := t + h
-	for iter := 0; iter < s.MaxIter; iter++ {
-		// Residual g(x) = x - y - h f(tn, x).
-		s.sys.Derivatives(tn, s.ypred, s.f)
-		for i := 0; i < n; i++ {
-			s.res[i] = s.ypred[i] - y[i] - h*s.f[i]
-		}
-		if la.NormInf(s.res) < s.Tol*(1+la.NormInf(s.ypred)) {
-			copy(y, s.ypred)
-			return tn, nil
-		}
-		// Finite-difference Jacobian of g: I - h ∂f/∂x.
-		for j := 0; j < n; j++ {
-			eps := 1e-7 * math.Max(1, math.Abs(s.ypred[j]))
-			orig := s.ypred[j]
-			s.ypred[j] = orig + eps
-			s.sys.Derivatives(tn, s.ypred, s.fp)
-			s.ypred[j] = orig
-			for i := 0; i < n; i++ {
-				v := -h * (s.fp[i] - s.f[i]) / eps
-				if i == j {
-					v += 1
-				}
-				s.jac.Set(i, j, v)
-			}
-		}
-		fct, err := la.Factorize(s.jac)
-		if err != nil {
-			return t, fmt.Errorf("%w: %v", ErrStepFailed, err)
-		}
-		if err := fct.Solve(s.res, s.dy); err != nil {
-			return t, fmt.Errorf("%w: %v", ErrStepFailed, err)
-		}
-		// Damped update: halve until the residual is finite.
-		lambda := 1.0
-		for k := 0; k < 8; k++ {
-			ok := true
-			for i := 0; i < n; i++ {
-				v := s.ypred[i] - lambda*s.dy[i]
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				break
-			}
-			lambda /= 2
-		}
-		for i := 0; i < n; i++ {
-			s.ypred[i] -= lambda * s.dy[i]
-		}
-		if la.NormInf(s.dy)*lambda < s.Tol*(1+la.NormInf(s.ypred)) {
-			copy(y, s.ypred)
-			return tn, nil
-		}
-	}
-	return t, fmt.Errorf("%w: Newton did not converge in %d iterations", ErrStepFailed, s.MaxIter)
-}
-
-// Integrate advances y from t0 to t1 in equal implicit steps no larger
-// than hMax.
-func (s *ImplicitStepper) Integrate(t0, t1 float64, y []float64, hMax float64) (float64, error) {
-	if t1 <= t0 || hMax <= 0 {
-		return t0, nil
-	}
-	steps := int(math.Ceil((t1 - t0) / hMax))
-	h := (t1 - t0) / float64(steps)
-	t := t0
-	for i := 0; i < steps; i++ {
-		var err error
-		t, err = s.Step(t, y, h)
-		if err != nil {
-			return t, err
-		}
-	}
-	return t1, nil
 }

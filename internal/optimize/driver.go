@@ -1,3 +1,11 @@
+// Package optimize implements the L5 (autonomous) layer of the twin
+// taxonomy (Fig. 2): the paper's example is "training an agent to
+// perform automated setpoint control for improved cooling efficiency".
+// Here the digital twin itself is the training ground: candidate
+// designs and plant setpoints are scored against the simulated system,
+// so no physical plant is put at risk (the virtual-prototyping value
+// proposition of §I). A setpoint study is a StudySpec over the
+// cooling.ct_supply_set_c and cooling.htw_header_set_pa knobs.
 package optimize
 
 import (

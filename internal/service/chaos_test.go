@@ -198,6 +198,9 @@ func TestChaosDeadlineOverrunEveryAttempt(t *testing.T) {
 	if tm := svc.FailureMetricsSnapshot().Timeouts; tm != 3 {
 		t.Fatalf("timeouts = %d, want 3", tm)
 	}
+	if got := seriesValue(t, scrapeExposition(t, svc.Registry()), "exadigit_sweep_timeouts_total"); got != 3 {
+		t.Fatalf("exadigit_sweep_timeouts_total = %v, want 3", got)
+	}
 }
 
 // TestChaosTruncatedStoreEntryHealed: a store entry truncated behind the
@@ -301,6 +304,9 @@ func TestChaosQueueSaturationBackpressure(t *testing.T) {
 	}
 	if rej := svc.FailureMetricsSnapshot().QueueRejections; rej != 1 {
 		t.Fatalf("rejections = %d, want 1", rej)
+	}
+	if got := seriesValue(t, scrapeExposition(t, svc.Registry()), "exadigit_sweep_queue_rejections_total"); got != 1 {
+		t.Fatalf("exadigit_sweep_queue_rejections_total = %v, want 1", got)
 	}
 
 	gated.Store(false)

@@ -135,23 +135,23 @@ func (h *faultHolder) set(fi *FaultInjector) {
 // recovery path deterministically.
 func (s *Service) SetFaultInjector(fi *FaultInjector) { s.faults.set(fi) }
 
-// FailureMetrics is the failure/recovery accounting served on
-// /api/sweeps/metrics — the observability an operator needs to tell a
-// healthy service from one quietly burning attempts.
+// FailureMetrics is a point-in-time copy of the failure/recovery
+// counters (exported on /metrics as the exadigit_sweep_* families) for
+// in-process readers.
 type FailureMetrics struct {
 	// Retries counts re-attempts after a transient failure (not first
 	// attempts).
-	Retries uint64 `json:"retries"`
+	Retries uint64
 	// PanicsRecovered counts worker panics converted to ScenarioErrors.
-	PanicsRecovered uint64 `json:"panics_recovered"`
+	PanicsRecovered uint64
 	// Timeouts counts attempts that exceeded the scenario deadline.
-	Timeouts uint64 `json:"timeouts"`
+	Timeouts uint64
 	// QueueRejections counts submissions refused with ErrSaturated.
-	QueueRejections uint64 `json:"queue_rejections"`
+	QueueRejections uint64
 	// Pending is the current queued+running scenario count across all
 	// sweeps; MaxPending is the admission bound it is checked against.
-	Pending    int64 `json:"pending"`
-	MaxPending int   `json:"max_pending"`
+	Pending    int64
+	MaxPending int
 }
 
 // FailureMetricsSnapshot returns the current failure/recovery counters.

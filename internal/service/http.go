@@ -152,7 +152,6 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /api/sweeps", s.handleSubmit)
 	mux.HandleFunc("GET /api/sweeps", s.handleList)
-	mux.HandleFunc("GET /api/sweeps/metrics", s.handleMetrics)
 	mux.Handle("GET /api/sweeps/trace", s.tracer.Handler())
 	mux.HandleFunc("GET /api/sweeps/{id}", s.handleStatus)
 	mux.HandleFunc("GET /api/sweeps/{id}/results", s.handleResults)
@@ -193,22 +192,6 @@ func writeError(w http.ResponseWriter, code int, err error) {
 		body.Suggestion = fe.Suggestion
 	}
 	writeJSON(w, code, body)
-}
-
-// handleMetrics serves the shared HTTP middleware counters together with
-// the result-cache accounting, the failure/recovery counters (retries,
-// panics recovered, timeouts, queue rejections), and — when a durable
-// store is configured — the store's hit/miss/byte accounting.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	body := map[string]any{
-		"http":     s.metrics.Snapshot(),
-		"cache":    s.CacheMetricsSnapshot(),
-		"failures": s.FailureMetricsSnapshot(),
-	}
-	if sm, ok := s.StoreMetricsSnapshot(); ok {
-		body["store"] = sm
-	}
-	writeJSON(w, http.StatusOK, body)
 }
 
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -273,11 +256,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
-	hits, misses, entries := s.CacheStats()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sweeps": s.List(),
-		"cache":  map[string]any{"hits": hits, "misses": misses, "entries": entries},
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"sweeps": s.List()})
 }
 
 func (s *Service) sweepFor(w http.ResponseWriter, r *http.Request) (*Sweep, bool) {

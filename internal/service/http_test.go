@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,7 +95,7 @@ func TestHTTPSweep32SharedCompiledSpec(t *testing.T) {
 	}
 
 	// Identical re-submission: zero simulations, zero new builds.
-	_, missesBefore, _ := svc.CacheStats()
+	_, missesBefore := cacheCounts(t, svc)
 	ack2 := postSweep(t, srv.URL, whatIf32())
 	if ack2.SpecHash != ack.SpecHash {
 		t.Errorf("spec hash changed across submissions")
@@ -104,8 +105,8 @@ func TestHTTPSweep32SharedCompiledSpec(t *testing.T) {
 	if st2.Cached != 32 {
 		t.Fatalf("re-submission not served from cache: %+v", st2)
 	}
-	if _, misses, _ := svc.CacheStats(); misses != missesBefore {
-		t.Errorf("re-submission simulated %d scenarios", misses-missesBefore)
+	if _, misses := cacheCounts(t, svc); misses != missesBefore {
+		t.Errorf("re-submission simulated %v scenarios", misses-missesBefore)
 	}
 	if got := config.ModelBuilds() - modelsBefore; got != 1 {
 		t.Errorf("re-submission rebuilt the power model (%d builds)", got)
@@ -214,8 +215,7 @@ func TestHTTPCancelAndStatus(t *testing.T) {
 	}
 
 	var list struct {
-		Sweeps []SweepStatus  `json:"sweeps"`
-		Cache  map[string]any `json:"cache"`
+		Sweeps []SweepStatus `json:"sweeps"`
 	}
 	lr, err := http.Get(srv.URL + "/api/sweeps")
 	if err != nil {
@@ -228,9 +228,8 @@ func TestHTTPCancelAndStatus(t *testing.T) {
 	if len(list.Sweeps) != 1 || list.Sweeps[0].ID != ack.ID {
 		t.Fatalf("bad sweep list: %+v", list.Sweeps)
 	}
-	if list.Cache == nil {
-		t.Fatal("list response missing cache stats")
-	}
+	// The cache counters are served on /metrics.
+	cacheCounts(t, svc)
 
 	// Unknown sweep → 404.
 	nf, err := http.Get(srv.URL + "/api/sweeps/sw-999")
@@ -243,10 +242,9 @@ func TestHTTPCancelAndStatus(t *testing.T) {
 	}
 }
 
-// TestMetricsReportsCacheEvictions pins the /api/sweeps/metrics cache
-// block: a count-bounded cache under pressure reports evictions, live
-// entries, and capacity — the observability groundwork for the planned
-// byte-bounded persistent cache.
+// TestMetricsReportsCacheEvictions pins the exadigit_cache_* families: a
+// count-bounded cache under pressure reports evictions, live entries,
+// and its entry capacity on /metrics.
 func TestMetricsReportsCacheEvictions(t *testing.T) {
 	svc := New(Options{Workers: 2, CacheCap: 2})
 	srv := httptest.NewServer(svc.Handler())
@@ -267,28 +265,18 @@ func TestMetricsReportsCacheEvictions(t *testing.T) {
 	}
 	<-sw.Done()
 
-	resp, err := http.Get(srv.URL + "/api/sweeps/metrics")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeExposition(t, svc.Registry())
+	if got := seriesValue(t, e, "exadigit_cache_capacity_entries"); got != 2 {
+		t.Errorf("capacity = %v, want 2", got)
 	}
-	defer resp.Body.Close()
-	var got struct {
-		Cache CacheMetrics `json:"cache"`
+	if got := seriesValue(t, e, "exadigit_cache_evictions_total"); got < 2 {
+		t.Errorf("evictions = %v, want ≥ 2 (4 results through a cap of 2)", got)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-		t.Fatal(err)
+	if got := seriesValue(t, e, "exadigit_cache_entries"); got > 2 {
+		t.Errorf("entries = %v exceed capacity", got)
 	}
-	if got.Cache.Capacity != 2 {
-		t.Errorf("capacity = %d, want 2", got.Cache.Capacity)
-	}
-	if got.Cache.Evictions < 2 {
-		t.Errorf("evictions = %d, want ≥ 2 (4 results through a cap of 2)", got.Cache.Evictions)
-	}
-	if got.Cache.Entries > 2 {
-		t.Errorf("entries = %d exceed capacity", got.Cache.Entries)
-	}
-	if got.Cache.Misses < 4 {
-		t.Errorf("misses = %d, want ≥ 4", got.Cache.Misses)
+	if got := seriesValue(t, e, "exadigit_cache_misses_total"); got < 4 {
+		t.Errorf("misses = %v, want ≥ 4", got)
 	}
 }
 
@@ -342,8 +330,8 @@ func TestHTTPBackpressure429(t *testing.T) {
 	}}})
 }
 
-// TestHTTPMetricsFailureAndStoreSections: /api/sweeps/metrics reports
-// the failure/recovery counters and, when a store is configured, the
+// TestHTTPMetricsFailureAndStoreSections: /metrics reports the
+// failure/recovery counters and, when a store is configured, the
 // durable-store accounting.
 func TestHTTPMetricsFailureAndStoreSections(t *testing.T) {
 	st, err := store.Open(t.TempDir())
@@ -367,23 +355,22 @@ func TestHTTPMetricsFailureAndStoreSections(t *testing.T) {
 	sw, _ := svc.Sweep(ack.ID)
 	waitSweep(t, sw)
 
-	resp, err := http.Get(srv.URL + "/api/sweeps/metrics")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeExposition(t, svc.Registry())
+	if p, r := seriesValue(t, e, "exadigit_sweep_panics_recovered_total"),
+		seriesValue(t, e, "exadigit_sweep_retries_total"); p != 1 || r != 1 {
+		t.Fatalf("failure series: panics_recovered=%v retries=%v, want 1/1", p, r)
 	}
-	defer resp.Body.Close()
-	var m struct {
-		Failures FailureMetrics `json:"failures"`
-		Store    *store.Metrics `json:"store"`
-		Cache    CacheMetrics   `json:"cache"`
+	if puts := opValue(t, e, "put"); puts != 1 {
+		t.Fatalf("exadigit_store_ops_total{op=\"put\"} = %v, want 1", puts)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
+	if b := seriesValue(t, e, "exadigit_store_bytes"); b <= 0 {
+		t.Fatalf("exadigit_store_bytes = %v", b)
 	}
-	if m.Failures.PanicsRecovered != 1 || m.Failures.Retries != 1 {
-		t.Fatalf("failure section: %+v", m.Failures)
-	}
-	if m.Store == nil || m.Store.Puts != 1 || m.Store.Bytes <= 0 {
-		t.Fatalf("store section: %+v", m.Store)
+	// The heartbeat and shutdown line reads the same counters.
+	sum := svc.Summary()
+	for _, want := range []string{" retries=1 ", " panics=1 ", " store_puts=1 "} {
+		if !strings.Contains(sum, want) {
+			t.Errorf("summary %q missing %q", sum, want)
+		}
 	}
 }

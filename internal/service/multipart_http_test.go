@@ -171,8 +171,8 @@ func TestScenarioHashPartitionStability(t *testing.T) {
 }
 
 // TestResultCacheByteBound pins the byte-bounded eviction: inserting
-// results past the byte capacity evicts oldest-first, and the metrics
-// surface bytes/capacity_bytes.
+// results past the byte capacity evicts oldest-first, and /metrics
+// serves the resident bytes and the byte bound.
 func TestResultCacheByteBound(t *testing.T) {
 	c := newResultCache(100, 10_000)
 	insert := func(key string, samples int) {
@@ -185,7 +185,7 @@ func TestResultCacheByteBound(t *testing.T) {
 	}
 	insert("a", 10)
 	insert("b", 10)
-	ev, entries, _, bytes, maxBytes := c.stats()
+	ev, entries, bytes, maxBytes := c.stats()
 	if maxBytes != 10_000 {
 		t.Fatalf("maxBytes = %d", maxBytes)
 	}
@@ -195,7 +195,7 @@ func TestResultCacheByteBound(t *testing.T) {
 	// A large result pushes the total over the byte bound: the oldest
 	// entries go first.
 	insert("big", 40)
-	ev, entries, _, bytes, _ = c.stats()
+	ev, entries, bytes, _ = c.stats()
 	if ev == 0 {
 		t.Fatal("byte bound triggered no evictions")
 	}
@@ -209,9 +209,9 @@ func TestResultCacheByteBound(t *testing.T) {
 
 	// An entry larger than the whole byte bound is dropped alone —
 	// never by flushing the warm entries around it.
-	_, entriesBefore, _, _, _ := c.stats()
+	_, entriesBefore, _, _ := c.stats()
 	insert("huge", 10_000) // ≫ the 10 kB bound
-	_, entriesAfter, _, _, _ := c.stats()
+	_, entriesAfter, _, _ := c.stats()
 	if entriesAfter < entriesBefore {
 		t.Fatalf("oversized insert flushed warm entries: %d -> %d", entriesBefore, entriesAfter)
 	}
@@ -219,22 +219,13 @@ func TestResultCacheByteBound(t *testing.T) {
 		t.Fatal("oversized entry was retained")
 	}
 
-	// The byte accounting is surfaced on /api/sweeps/metrics.
+	// The byte accounting is surfaced on /metrics.
 	svc := New(Options{Workers: 1, CacheMaxBytes: 123456})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/api/sweeps/metrics")
-	if err != nil {
-		t.Fatal(err)
+	e := scrapeExposition(t, svc.Registry())
+	if got := seriesValue(t, e, "exadigit_cache_capacity_bytes"); got != 123456 {
+		t.Fatalf("exadigit_cache_capacity_bytes = %v, want 123456", got)
 	}
-	defer resp.Body.Close()
-	var doc struct {
-		Cache CacheMetrics `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Cache.CapacityBytes != 123456 {
-		t.Fatalf("capacity_bytes = %d, want 123456", doc.Cache.CapacityBytes)
+	if got := seriesValue(t, e, "exadigit_cache_bytes"); got != 0 {
+		t.Fatalf("exadigit_cache_bytes = %v on an empty cache", got)
 	}
 }

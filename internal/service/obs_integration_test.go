@@ -79,6 +79,25 @@ func seriesValue(t *testing.T, e *obs.Exposition, name string) float64 {
 	return v
 }
 
+// opValue reads one exadigit_store_ops_total{op=...} series.
+func opValue(t *testing.T, e *obs.Exposition, op string) float64 {
+	t.Helper()
+	id := obs.ExpoSeries{Name: "exadigit_store_ops_total", Labels: map[string]string{"op": op}}.ID()
+	v, ok := e.Series()[id]
+	if !ok {
+		t.Fatalf("series %s not in scrape", id)
+	}
+	return v
+}
+
+// cacheCounts scrapes the service's registry for the result-cache hit
+// and miss (simulation) counters.
+func cacheCounts(t *testing.T, svc *Service) (hits, misses float64) {
+	t.Helper()
+	e := scrapeExposition(t, svc.Registry())
+	return seriesValue(t, e, "exadigit_cache_hits_total"), seriesValue(t, e, "exadigit_cache_misses_total")
+}
+
 // TestMetricsScrapeDuringMixedPlantSweep is the scrape acceptance test:
 // a 32-scenario sweep mixing three cooling-plant variants is scraped
 // twice mid-flight and once after completion; every scrape passes the
@@ -110,7 +129,7 @@ func TestMetricsScrapeDuringMixedPlantSweep(t *testing.T) {
 	// Generate some HTTP traffic so the middleware families carry data,
 	// then scrape again once part of the sweep has finished — both
 	// scrapes land mid-sweep on any machine slower than the pool.
-	for _, path := range []string{"/api/sweeps", "/api/sweeps/metrics", "/api/sweeps/" + sw.ID()} {
+	for _, path := range []string{"/api/sweeps", "/api/sweeps/trace", "/api/sweeps/" + sw.ID()} {
 		resp, err := srv.Client().Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -164,9 +183,10 @@ func TestMetricsScrapeDuringMixedPlantSweep(t *testing.T) {
 }
 
 // TestMetricsJSONMatchesExposition pins the single-source-of-truth
-// property: after a sweep with intra-sweep duplicates (cache hits) over
-// a durable store, every counter in the /api/sweeps/metrics JSON
-// snapshot equals its series in the Prometheus exposition.
+// property on the one metric surface: after a sweep with intra-sweep
+// duplicates (cache hits) over a durable store, /metrics carries the
+// exact cache, failure and store accounting, and each series equals the
+// owner's own count.
 func TestMetricsJSONMatchesExposition(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -189,57 +209,53 @@ func TestMetricsJSONMatchesExposition(t *testing.T) {
 		t.Fatalf("sweep status: %+v", stat)
 	}
 
-	rec := httptest.NewRecorder()
-	svc.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/api/sweeps/metrics", nil))
-	if rec.Code != 200 {
-		t.Fatalf("/api/sweeps/metrics status = %d", rec.Code)
-	}
-	var body struct {
-		Cache    CacheMetrics   `json:"cache"`
-		Failures FailureMetrics `json:"failures"`
-		Store    store.Metrics  `json:"store"`
-	}
-	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if body.Cache.Hits != 4 || body.Cache.Misses != 4 {
-		t.Fatalf("cache snapshot = %+v, want 4 hits / 4 misses", body.Cache)
-	}
-
 	e := scrapeExposition(t, svc.Registry())
+	_, entries, bytes, _ := svc.cache.stats()
+	fm := svc.FailureMetricsSnapshot()
 	for name, want := range map[string]float64{
-		"exadigit_cache_hits_total":             float64(body.Cache.Hits),
-		"exadigit_cache_misses_total":           float64(body.Cache.Misses),
-		"exadigit_cache_evictions_total":        float64(body.Cache.Evictions),
-		"exadigit_cache_entries":                float64(body.Cache.Entries),
-		"exadigit_cache_bytes":                  float64(body.Cache.Bytes),
-		"exadigit_sweep_retries_total":          float64(body.Failures.Retries),
-		"exadigit_sweep_panics_recovered_total": float64(body.Failures.PanicsRecovered),
-		"exadigit_sweep_timeouts_total":         float64(body.Failures.Timeouts),
-		"exadigit_sweep_queue_rejections_total": float64(body.Failures.QueueRejections),
-		"exadigit_sweep_pending_scenarios":      float64(body.Failures.Pending),
-		"exadigit_sweep_max_pending":            float64(body.Failures.MaxPending),
-		"exadigit_store_entries":                float64(body.Store.Entries),
+		"exadigit_cache_hits_total":             4,
+		"exadigit_cache_misses_total":           4,
+		"exadigit_cache_evictions_total":        0,
+		"exadigit_cache_entries":                float64(entries),
+		"exadigit_cache_bytes":                  float64(bytes),
+		"exadigit_sweep_retries_total":          0,
+		"exadigit_sweep_panics_recovered_total": 0,
+		"exadigit_sweep_timeouts_total":         0,
+		"exadigit_sweep_queue_rejections_total": 0,
+		"exadigit_sweep_pending_scenarios":      0,
+		"exadigit_sweep_max_pending":            float64(fm.MaxPending),
+		"exadigit_store_entries":                4,
 	} {
 		if got := seriesValue(t, e, name); got != want {
-			t.Errorf("exposition %s = %v, JSON snapshot says %v", name, got, want)
+			t.Errorf("exposition %s = %v, want %v", name, got, want)
 		}
 	}
-	series := e.Series()
+	if entries != 4 || bytes <= 0 {
+		t.Errorf("cache holds %d entries / %d bytes, want 4 entries", entries, bytes)
+	}
+	// Each distinct scenario missed the store once and was put once;
+	// every op series equals the store's own count.
+	for op, want := range map[string]float64{"hit": 0, "miss": 4, "put": 4, "put_error": 0, "corrupt_quarantined": 0} {
+		if got := opValue(t, e, op); got != want {
+			t.Errorf("exadigit_store_ops_total{op=%q} = %v, want %v", op, got, want)
+		}
+	}
+	sm := st.Stats()
 	for op, want := range map[string]uint64{
-		"hit": body.Store.Hits, "miss": body.Store.Misses, "put": body.Store.Puts,
-		"put_error": body.Store.PutErrors, "corrupt_quarantined": body.Store.CorruptQuarantined,
+		"hit": sm.Hits, "miss": sm.Misses, "put": sm.Puts, "put_error": sm.PutErrors,
+		"corrupt_quarantined": sm.CorruptQuarantined, "quarantine_purged": sm.QuarantinePurged,
+		"lease_acquired": sm.LeasesAcquired, "lease_wait": sm.LeaseWaits, "lease_steal": sm.LeaseSteals,
+		"journal_create": sm.JournalCreates, "journal_append": sm.JournalAppends, "journal_error": sm.JournalErrors,
 	} {
-		id := obs.ExpoSeries{Name: "exadigit_store_ops_total",
-			Labels: map[string]string{"op": op}}.ID()
-		got, ok := series[id]
-		if !ok {
-			t.Errorf("series %s not in scrape", id)
-			continue
+		if got := opValue(t, e, op); got != float64(want) {
+			t.Errorf("exadigit_store_ops_total{op=%q} = %v, store counts %d", op, got, want)
 		}
-		if got != float64(want) {
-			t.Errorf("exposition %s = %v, JSON snapshot says %d", id, got, want)
-		}
+	}
+	if sm.JournalCreates != 1 || sm.JournalAppends == 0 {
+		t.Errorf("sweep was not journaled: %+v", sm)
+	}
+	if got := seriesValue(t, e, "exadigit_store_bytes"); got != float64(sm.Bytes) || got <= 0 {
+		t.Errorf("exadigit_store_bytes = %v, store counts %d", got, sm.Bytes)
 	}
 }
 

@@ -126,8 +126,8 @@ type Service struct {
 	maxPending      int
 
 	// Cache and failure/recovery accounting. These registry instruments
-	// ARE the counters — FailureMetricsSnapshot, CacheMetricsSnapshot,
-	// and the /metrics exposition all read the same storage.
+	// ARE the counters — the /metrics exposition, Summary and
+	// FailureMetricsSnapshot all read the same storage.
 	hits       *obs.Counter
 	misses     *obs.Counter
 	retries    *obs.Counter
@@ -232,8 +232,7 @@ func New(opts Options) *Service {
 // hot-path counters (cache hits/misses, retries, panics, timeouts,
 // rejections) are registry instruments written directly by the workers;
 // owner-held state (pending, cache occupancy, store counters, global
-// model-build counters) is collected at scrape time. The JSON snapshot
-// endpoints read the same storage, so the two views cannot drift.
+// model-build counters) is collected at scrape time.
 func (s *Service) registerMetrics() {
 	reg := s.reg
 	s.hits = reg.Counter("exadigit_cache_hits_total",
@@ -270,7 +269,7 @@ func (s *Service) registerMetrics() {
 	reg.CounterFunc("exadigit_cache_evictions_total",
 		"Completed results dropped by the cache capacity bounds.",
 		func() float64 {
-			ev, _, _, _, _ := s.cache.stats()
+			ev, _, _, _ := s.cache.stats()
 			return float64(ev)
 		})
 	reg.GaugeFunc("exadigit_cache_entries",
@@ -279,15 +278,18 @@ func (s *Service) registerMetrics() {
 	reg.GaugeFunc("exadigit_cache_bytes",
 		"Approximate resident size of cached results.",
 		func() float64 {
-			_, _, _, bytes, _ := s.cache.stats()
+			_, _, bytes, _ := s.cache.stats()
 			return float64(bytes)
 		})
 	reg.GaugeFunc("exadigit_cache_capacity_bytes",
 		"Byte bound the cache evicts against.",
 		func() float64 {
-			_, _, _, _, maxBytes := s.cache.stats()
+			_, _, _, maxBytes := s.cache.stats()
 			return float64(maxBytes)
 		})
+	reg.GaugeFunc("exadigit_cache_capacity_entries",
+		"Entry-count bound the cache evicts against.",
+		func() float64 { return float64(s.cache.cap) })
 	reg.CounterFunc("exadigit_model_builds_total",
 		"Partition power models built process-wide (spec compilations).",
 		func() float64 { return float64(config.ModelBuilds()) })
@@ -336,26 +338,24 @@ func (s *Service) Registry() *obs.Registry { return s.reg }
 func (s *Service) Tracer() *obs.Tracer { return s.tracer }
 
 // Summary renders the service counters as one log line — the periodic
-// metrics heartbeat the server emits alongside the HTTP summary.
+// metrics heartbeat and the shutdown flush. It reads the instruments
+// /metrics serves, plus the durable store's counters when one is
+// configured.
 func (s *Service) Summary() string {
-	f := s.FailureMetricsSnapshot()
-	c := s.CacheMetricsSnapshot()
-	return fmt.Sprintf("pending=%d hits=%d misses=%d evictions=%d cache_entries=%d cache_mb=%.1f retries=%d panics=%d timeouts=%d rejections=%d spans=%d",
-		f.Pending, c.Hits, c.Misses, c.Evictions, c.Entries, float64(c.Bytes)/(1<<20),
-		f.Retries, f.PanicsRecovered, f.Timeouts, f.QueueRejections, s.tracer.Total())
+	ev, entries, bytes, _ := s.cache.stats()
+	line := fmt.Sprintf("pending=%d hits=%d misses=%d evictions=%d cache_entries=%d cache_mb=%.1f retries=%d panics=%d timeouts=%d rejections=%d spans=%d",
+		s.pending.Load(), s.hits.Value(), s.misses.Value(), ev, entries, float64(bytes)/(1<<20),
+		s.retries.Value(), s.panics.Value(), s.timeouts.Value(), s.rejections.Value(), s.tracer.Total())
+	if s.store != nil {
+		m := s.store.Stats()
+		line += fmt.Sprintf(" store_hits=%d store_misses=%d store_puts=%d store_put_errors=%d store_corrupt=%d store_entries=%d store_bytes=%d",
+			m.Hits, m.Misses, m.Puts, m.PutErrors, m.CorruptQuarantined, m.Entries, m.Bytes)
+	}
+	return line
 }
 
 // Store returns the durable result store, or nil when memory-only.
 func (s *Service) Store() *store.Store { return s.store }
-
-// StoreMetricsSnapshot returns the durable store's counters; the second
-// return is false when no store is configured.
-func (s *Service) StoreMetricsSnapshot() (store.Metrics, bool) {
-	if s.store == nil {
-		return store.Metrics{}, false
-	}
-	return s.store.Stats(), true
-}
 
 // Workers returns the pool capacity.
 func (s *Service) Workers() int { return s.workers }
@@ -366,42 +366,6 @@ func (s *Service) SetLogf(logf httpmw.Logf) { s.logf = logf }
 
 // Metrics exposes the HTTP middleware counters.
 func (s *Service) Metrics() *httpmw.Metrics { return s.metrics }
-
-// CacheStats reports result-cache effectiveness: served-from-cache
-// scenario count, simulated count, and live cached entries.
-func (s *Service) CacheStats() (hits, misses uint64, entries int) {
-	return s.hits.Value(), s.misses.Value(), s.cache.len()
-}
-
-// CacheMetrics is the full result-cache accounting served on
-// /api/sweeps/metrics — the observability groundwork for the planned
-// byte-bounded persistent cache (eviction pressure tells an operator
-// whether the count bound is the limiting resource).
-type CacheMetrics struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Evictions uint64 `json:"evictions"`
-	Entries   int    `json:"entries"`
-	Capacity  int    `json:"capacity"`
-	// Bytes is the approximate resident size of the cached results;
-	// CapacityBytes is the byte bound evictions enforce.
-	Bytes         int64 `json:"bytes"`
-	CapacityBytes int64 `json:"capacity_bytes"`
-}
-
-// CacheMetricsSnapshot returns the current result-cache counters.
-func (s *Service) CacheMetricsSnapshot() CacheMetrics {
-	ev, entries, capacity, bytes, maxBytes := s.cache.stats()
-	return CacheMetrics{
-		Hits:          s.hits.Value(),
-		Misses:        s.misses.Value(),
-		Evictions:     ev,
-		Entries:       entries,
-		Capacity:      capacity,
-		Bytes:         bytes,
-		CapacityBytes: maxBytes,
-	}
-}
 
 // compiledFor returns the shared CompiledSpec for the spec, compiling it
 // on first submission. Sweeps of the same spec — byte-identical after
@@ -1667,10 +1631,10 @@ func (c *resultCache) complete(key string, e *cacheEntry, res *core.Result, err 
 	close(e.done)
 }
 
-// stats returns the cache's eviction count, live entries, and the entry
-// and byte capacities.
-func (c *resultCache) stats() (evictions uint64, entries, capacity int, bytes, maxBytes int64) {
+// stats returns the cache's eviction count, live entries, resident
+// bytes, and byte capacity.
+func (c *resultCache) stats() (evictions uint64, entries int, bytes, maxBytes int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.evictions, len(c.entries), c.cap, c.bytes, c.maxBytes
+	return c.evictions, len(c.entries), c.bytes, c.maxBytes
 }

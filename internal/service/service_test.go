@@ -73,7 +73,7 @@ func TestResubmissionServedFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitSweep(t, first)
-	_, missesBefore, _ := svc.CacheStats()
+	_, missesBefore := cacheCounts(t, svc)
 
 	second, err := svc.Submit(spec, scenarios, SweepOptions{})
 	if err != nil {
@@ -83,9 +83,9 @@ func TestResubmissionServedFromCache(t *testing.T) {
 	if st.Cached != len(scenarios) {
 		t.Fatalf("want %d cached, got %+v", len(scenarios), st)
 	}
-	_, missesAfter, _ := svc.CacheStats()
+	_, missesAfter := cacheCounts(t, svc)
 	if missesAfter != missesBefore {
-		t.Fatalf("re-submission simulated: misses %d → %d", missesBefore, missesAfter)
+		t.Fatalf("re-submission simulated: misses %v → %v", missesBefore, missesAfter)
 	}
 	fr, sr := first.Results(), second.Results()
 	for i := range fr {
@@ -135,12 +135,12 @@ func TestConcurrentSubmitsSingleFlight(t *testing.T) {
 			t.Fatalf("sweep %d: got a distinct result instance (extra simulation)", k)
 		}
 	}
-	hits, misses, _ := svc.CacheStats()
+	hits, misses := cacheCounts(t, svc)
 	if misses != 1 {
-		t.Fatalf("want exactly 1 simulation, got %d (hits %d)", misses, hits)
+		t.Fatalf("want exactly 1 simulation, got %v (hits %v)", misses, hits)
 	}
 	if hits != n-1 {
-		t.Fatalf("want %d cache hits, got %d", n-1, hits)
+		t.Fatalf("want %d cache hits, got %v", n-1, hits)
 	}
 }
 
@@ -339,8 +339,8 @@ func TestTelemetryToBypassesCache(t *testing.T) {
 	if first == 0 || second == 0 {
 		t.Fatalf("streaming sink received no bytes (first %d, second %d)", first, second)
 	}
-	if _, misses, _ := svc.CacheStats(); misses != 2 {
-		t.Fatalf("streaming scenarios must bypass the cache: %d simulations", misses)
+	if _, misses := cacheCounts(t, svc); misses != 2 {
+		t.Fatalf("streaming scenarios must bypass the cache: %v simulations", misses)
 	}
 }
 

@@ -101,28 +101,28 @@ type Options struct {
 	QuarantineTTL time.Duration
 }
 
-// Metrics is the store's observability snapshot, served alongside the
-// in-memory cache counters on /api/sweeps/metrics.
+// Metrics is a point-in-time copy of the store's counters (exported on
+// /metrics as the exadigit_store_* families).
 type Metrics struct {
-	Hits               uint64 `json:"hits"`
-	Misses             uint64 `json:"misses"`
-	Puts               uint64 `json:"puts"`
-	PutErrors          uint64 `json:"put_errors"`
-	CorruptQuarantined uint64 `json:"corrupt_quarantined"`
+	Hits               uint64
+	Misses             uint64
+	Puts               uint64
+	PutErrors          uint64
+	CorruptQuarantined uint64
 	// QuarantinePurged counts quarantine files aged out by the startup
 	// sweep (Options.QuarantineTTL).
-	QuarantinePurged uint64 `json:"quarantine_purged"`
+	QuarantinePurged uint64
 	// Lease accounting for the cross-node single-flight protocol.
-	LeasesAcquired uint64 `json:"leases_acquired"`
-	LeaseWaits     uint64 `json:"lease_waits"`
-	LeaseSteals    uint64 `json:"lease_steals"`
+	LeasesAcquired uint64
+	LeaseWaits     uint64
+	LeaseSteals    uint64
 	// Sweep-journal accounting: manifests written, records appended,
 	// and I/O failures that degraded journaling to in-memory-only.
-	JournalCreates uint64 `json:"journal_creates"`
-	JournalAppends uint64 `json:"journal_appends"`
-	JournalErrors  uint64 `json:"journal_errors"`
-	Entries        int    `json:"entries"`
-	Bytes          int64  `json:"bytes"`
+	JournalCreates uint64
+	JournalAppends uint64
+	JournalErrors  uint64
+	Entries        int
+	Bytes          int64
 }
 
 // Open roots a store at dir (created if missing) and rebuilds the index

@@ -11,12 +11,13 @@ import (
 	"exadigit/internal/la"
 )
 
-// This file generalizes the 2-input PUE surrogate to the optimizer's
-// d-dimensional knob space: a multi-target ridge model over quadratic
-// features of an arbitrary knob vector, refit online as the optimizer's
-// own sweep results stream in, and JSON-serializable (weights +
-// feature-map spec + training-set hash) so a trained model persists in
-// the service's -store directory and survives restarts.
+// This file is the package's one regression model: a multi-target
+// ridge model over quadratic features of a d-dimensional input — the
+// optimizer's knob vector, or the PUE surrogate's (heat, wet bulb) —
+// refit online as the optimizer's own sweep results stream in, and
+// JSON-serializable (weights + feature-map spec + training-set hash) so
+// a trained model persists in the service's -store directory and
+// survives restarts.
 
 // FeatureMap normalizes a d-dimensional input by per-dimension ranges
 // and expands it to full quadratic features: [1, xᵢ, xᵢ², xᵢxⱼ (i<j)].
@@ -99,8 +100,9 @@ func (m *Model) Targets() []string { return append([]string(nil), m.targets...) 
 // Dims is the knob-vector dimensionality.
 func (m *Model) Dims() int { return m.feats.Dims() }
 
-// Trained reports whether Fit has succeeded at least once.
-func (m *Model) Trained() bool { return m.weights != nil }
+// Trained reports whether Fit has succeeded at least once (false for a
+// nil model).
+func (m *Model) Trained() bool { return m != nil && m.weights != nil }
 
 // Rows is the training-set size of the last successful Fit.
 func (m *Model) Rows() int { return m.rows }
@@ -162,11 +164,11 @@ func (m *Model) Fit(X [][]float64, Y [][]float64) error {
 		for i := range Y {
 			col[i] = Y[i][t]
 		}
-		r := Ridge{Lambda: m.lambda}
-		if err := r.Fit(feats, col); err != nil {
+		w, err := fitRidge(feats, col, m.lambda)
+		if err != nil {
 			return fmt.Errorf("surrogate: target %q: %w", m.targets[t], err)
 		}
-		weights[t] = r.Weights()
+		weights[t] = w
 	}
 	m.weights = weights
 	m.rows = len(X)

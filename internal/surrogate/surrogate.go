@@ -12,36 +12,28 @@ package surrogate
 
 import (
 	"fmt"
-	"math"
+	"slices"
 
 	"exadigit/internal/cooling"
 	"exadigit/internal/la"
 )
 
-// Ridge is ridge regression over a caller-supplied feature map.
-type Ridge struct {
-	// Lambda is the L2 regularization strength (0 → ordinary least
-	// squares; the intercept is not penalized).
-	Lambda float64
-
-	weights []float64
-}
-
-// Fit solves (XᵀX + λI)w = Xᵀy over the design matrix rows.
-func (r *Ridge) Fit(features [][]float64, targets []float64) error {
+// fitRidge solves the ridge normal equations (XᵀX + λI)w = Xᵀy over
+// the design-matrix rows; the intercept (feature 0) is not penalized.
+func fitRidge(features [][]float64, targets []float64, lambda float64) ([]float64, error) {
 	n := len(features)
 	if n == 0 || n != len(targets) {
-		return fmt.Errorf("surrogate: %d rows vs %d targets", n, len(targets))
+		return nil, fmt.Errorf("surrogate: %d rows vs %d targets", n, len(targets))
 	}
 	p := len(features[0])
 	if p == 0 {
-		return fmt.Errorf("surrogate: empty feature vectors")
+		return nil, fmt.Errorf("surrogate: empty feature vectors")
 	}
 	gram := la.NewMatrix(p, p)
 	rhs := make([]float64, p)
 	for i, row := range features {
 		if len(row) != p {
-			return fmt.Errorf("surrogate: row %d has %d features, want %d", i, len(row), p)
+			return nil, fmt.Errorf("surrogate: row %d has %d features, want %d", i, len(row), p)
 		}
 		for a := 0; a < p; a++ {
 			for b := 0; b < p; b++ {
@@ -50,35 +42,14 @@ func (r *Ridge) Fit(features [][]float64, targets []float64) error {
 			rhs[a] += row[a] * targets[i]
 		}
 	}
-	for a := 1; a < p; a++ { // do not penalize the intercept (feature 0)
-		gram.Add(a, a, r.Lambda)
+	for a := 1; a < p; a++ {
+		gram.Add(a, a, lambda)
 	}
 	w, err := la.SolveDense(gram, rhs)
 	if err != nil {
-		return fmt.Errorf("surrogate: %w", err)
+		return nil, fmt.Errorf("surrogate: %w", err)
 	}
-	r.weights = w
-	return nil
-}
-
-// Predict evaluates the fitted model on one feature vector.
-func (r *Ridge) Predict(features []float64) float64 {
-	return la.Dot(r.weights, features)
-}
-
-// Weights returns the fitted coefficients (nil before Fit).
-func (r *Ridge) Weights() []float64 { return r.weights }
-
-// quadFeatures2 maps (a, b) to [1, a, b, a², b², ab] with inputs
-// normalized by the training ranges for conditioning.
-type quadFeatures2 struct {
-	aLo, aHi, bLo, bHi float64
-}
-
-func (q quadFeatures2) vector(a, b float64) []float64 {
-	an := norm(a, q.aLo, q.aHi)
-	bn := norm(b, q.bLo, q.bHi)
-	return []float64{1, an, bn, an * an, bn * bn, an * bn}
+	return w, nil
 }
 
 func norm(v, lo, hi float64) float64 {
@@ -89,12 +60,10 @@ func norm(v, lo, hi float64) float64 {
 }
 
 // PUESurrogate predicts PUE and auxiliary cooling power from the total
-// heat load and the outdoor wet bulb.
+// heat load and the outdoor wet bulb: a two-target Model over
+// (heat MW, wet bulb °C).
 type PUESurrogate struct {
-	feats   quadFeatures2
-	pue     Ridge
-	auxMW   Ridge
-	trained bool
+	model *Model
 
 	// TrainingPoints records the L4 samples the model was fitted on.
 	TrainingPoints []TrainingPoint
@@ -110,22 +79,31 @@ type TrainingPoint struct {
 
 // TrainPUESurrogate sweeps the plant over the (heat, wet-bulb) grid,
 // settling at each point, and fits the surrogate on the results. The
-// plant is reused across points (warm start) so the sweep is cheap.
+// plant is reused across points (warm start) so the sweep is cheap. The
+// grid needs two values per axis and at least Model.MinTrainRows points
+// (six for two inputs), so a 2×2 grid is rejected before any settling.
 func TrainPUESurrogate(cfg cooling.Config, heatsMW, wetBulbsC []float64) (*PUESurrogate, error) {
 	if len(heatsMW) < 2 || len(wetBulbsC) < 2 {
-		return nil, fmt.Errorf("surrogate: need at least a 2×2 grid, got %d×%d",
+		return nil, fmt.Errorf("surrogate: need two values per grid axis, got %d×%d",
 			len(heatsMW), len(wetBulbsC))
+	}
+	m, err := NewModel(
+		[]float64{slices.Min(heatsMW), slices.Min(wetBulbsC)},
+		[]float64{slices.Max(heatsMW), slices.Max(wetBulbsC)},
+		[]string{"pue", "aux_mw"}, 1e-6)
+	if err != nil {
+		return nil, err
+	}
+	if n := len(heatsMW) * len(wetBulbsC); n < m.MinTrainRows() {
+		return nil, fmt.Errorf("surrogate: %d×%d grid gives %d points, need at least %d",
+			len(heatsMW), len(wetBulbsC), n, m.MinTrainRows())
 	}
 	plant, err := cooling.New(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &PUESurrogate{feats: quadFeatures2{
-		aLo: minOf(heatsMW), aHi: maxOf(heatsMW),
-		bLo: minOf(wetBulbsC), bHi: maxOf(wetBulbsC),
-	}}
-	var X [][]float64
-	var yPUE, yAux []float64
+	s := &PUESurrogate{model: m}
+	var X, Y [][]float64
 	heat := make([]float64, cfg.NumCDUs)
 	for _, wb := range wetBulbsC {
 		for _, h := range heatsMW {
@@ -142,78 +120,30 @@ func TrainPUESurrogate(cfg cooling.Config, heatsMW, wetBulbsC []float64) (*PUESu
 				AuxMW: plant.AuxPowerW() / 1e6,
 			}
 			s.TrainingPoints = append(s.TrainingPoints, pt)
-			X = append(X, s.feats.vector(h, wb))
-			yPUE = append(yPUE, pt.PUE)
-			yAux = append(yAux, pt.AuxMW)
+			X = append(X, []float64{h, wb})
+			Y = append(Y, []float64{pt.PUE, pt.AuxMW})
 		}
 	}
-	s.pue.Lambda, s.auxMW.Lambda = 1e-6, 1e-6
-	if err := s.pue.Fit(X, yPUE); err != nil {
+	if err := m.Fit(X, Y); err != nil {
 		return nil, err
 	}
-	if err := s.auxMW.Fit(X, yAux); err != nil {
-		return nil, err
-	}
-	s.trained = true
 	return s, nil
 }
 
 // Predict returns the PUE estimate at the given operating point.
 func (s *PUESurrogate) Predict(heatMW, wetBulbC float64) (float64, error) {
-	if !s.trained {
-		return 0, fmt.Errorf("surrogate: not trained")
-	}
-	return s.pue.Predict(s.feats.vector(heatMW, wetBulbC)), nil
+	return s.predict(heatMW, wetBulbC, 0)
 }
 
 // PredictAuxMW returns the auxiliary-power estimate in MW.
 func (s *PUESurrogate) PredictAuxMW(heatMW, wetBulbC float64) (float64, error) {
-	if !s.trained {
-		return 0, fmt.Errorf("surrogate: not trained")
-	}
-	return s.auxMW.Predict(s.feats.vector(heatMW, wetBulbC)), nil
+	return s.predict(heatMW, wetBulbC, 1)
 }
 
-// R2 computes the coefficient of determination of the PUE model on its
-// own training points (an upper bound on held-out skill; tests check
-// held-out points separately).
-func (s *PUESurrogate) R2() float64 {
-	if len(s.TrainingPoints) == 0 {
-		return 0
+func (s *PUESurrogate) predict(heatMW, wetBulbC float64, target int) (float64, error) {
+	out, err := s.model.Predict([]float64{heatMW, wetBulbC})
+	if err != nil {
+		return 0, err
 	}
-	mean := 0.0
-	for _, p := range s.TrainingPoints {
-		mean += p.PUE
-	}
-	mean /= float64(len(s.TrainingPoints))
-	var ssRes, ssTot float64
-	for _, p := range s.TrainingPoints {
-		pred := s.pue.Predict(s.feats.vector(p.HeatMW, p.WetBulbC))
-		ssRes += (p.PUE - pred) * (p.PUE - pred)
-		ssTot += (p.PUE - mean) * (p.PUE - mean)
-	}
-	if ssTot == 0 {
-		return 1
-	}
-	return 1 - ssRes/ssTot
-}
-
-func minOf(vals []float64) float64 {
-	m := math.Inf(1)
-	for _, v := range vals {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-func maxOf(vals []float64) float64 {
-	m := math.Inf(-1)
-	for _, v := range vals {
-		if v > m {
-			m = v
-		}
-	}
-	return m
+	return out[target], nil
 }

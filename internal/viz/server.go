@@ -102,7 +102,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/cooling", s.handleCooling)
 	mux.HandleFunc("POST /api/run", s.handleRun)
 	mux.HandleFunc("GET /api/experiments", s.handleExperiments)
-	mux.Handle("GET /api/metrics", s.metrics.Handler())
 	return httpmw.Wrap(mux, s.logf, s.metrics)
 }
 
