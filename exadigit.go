@@ -12,8 +12,9 @@
 //     conversion-loss chain;
 //   - a transient thermo-fluid model of the cooling plant (25 CDU loops,
 //     the primary high-temperature-water loop, and the cooling-tower
-//     loop with its PID + staging control system), wrapped behind an
-//     FMI-style co-simulation interface and stepped every 15 s;
+//     loop with its PID + staging control system), stepped by RAPS
+//     every 15 s and described by an FMI-style model description
+//     (the paper's 317-output FMU contract);
 //   - telemetry and visual analytics: Table II-schema datasets for
 //     replay-based verification and validation, an ASCII dashboard, and
 //     an HTTP/JSON API.
@@ -45,7 +46,6 @@ import (
 	"exadigit/internal/config"
 	"exadigit/internal/cooling"
 	"exadigit/internal/core"
-	"exadigit/internal/fmu"
 	"exadigit/internal/httpmw"
 	"exadigit/internal/job"
 	"exadigit/internal/obs"
@@ -123,14 +123,6 @@ func NewJob(id int, name string, nodes int, wallSec, submit float64) *Job {
 // FlatTrace builds a constant-utilization trace covering wallSec.
 func FlatTrace(util, wallSec float64) []float64 { return job.FlatTrace(util, wallSec) }
 
-// FMU co-simulation types (§III-C6).
-type (
-	// FMU is the cooling model behind the FMI-style interface.
-	FMU = fmu.Instance
-	// ValueRef identifies an FMU variable.
-	ValueRef = fmu.ValueRef
-)
-
 // Workload kinds.
 const (
 	WorkloadIdle      = core.WorkloadIdle
@@ -175,8 +167,8 @@ type (
 	// lets a restarted service re-adopt interrupted sweeps instead of
 	// losing them — `exadigit serve -store DIR -resume`.
 	SweepRecoverStats = service.RecoverStats
-	// CompiledSpec shares per-spec power models and the cooling FMU
-	// design read-only across scenario runs.
+	// CompiledSpec shares per-spec power models and the cooling design
+	// read-only across scenario runs.
 	CompiledSpec = core.CompiledSpec
 	// ResultStore is the durable content-addressed result store layered
 	// under the sweep service's in-memory cache: completed scenario
@@ -230,7 +222,7 @@ func NewClusterPool(opts ClusterOptions) (*ClusterPool, error) { return cluster.
 func NewSweepService(opts SweepServiceOptions) *SweepService { return service.New(opts) }
 
 // CompileSpec validates a spec and precompiles its shared artifacts —
-// power models and cooling FMU design — for reuse across every scenario
+// power models and cooling design — for reuse across every scenario
 // run against it (CompiledSpec.RunBatch, CompiledSpec.Twin).
 func CompileSpec(spec SystemSpec) (*CompiledSpec, error) { return core.Compile(spec) }
 
@@ -346,10 +338,6 @@ func ValidateMetricsConventions(e *MetricsExposition, prefix string) error {
 func RequireBearerToken(token string, h http.Handler) http.Handler {
 	return httpmw.RequireBearer(token, h)
 }
-
-// NewCoolingFMU instantiates the cooling model behind the FMI-style
-// co-simulation interface (SetReal / DoStep / GetReal).
-func NewCoolingFMU(cfg CoolingConfig) (*FMU, error) { return fmu.Instantiate(cfg) }
 
 // DashboardServer is the viz REST backend; expose it (rather than just
 // its Handler) to enable request logging or register its request

@@ -2,11 +2,13 @@ package exadigit
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"exadigit/internal/cooling"
+	"exadigit/internal/fmu"
 )
 
 func TestFacadeQuickstart(t *testing.T) {
@@ -71,18 +73,16 @@ func TestFacadeAutoCSM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := NewCoolingFMU(cfg)
+	dn, err := fmu.NewDesign(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.SetupExperiment(0); err != nil {
-		t.Fatal(err)
-	}
-	// FMU over the generated plant honours the 317-output contract.
-	if got := len(inst.Description().OutputRefs()); got != 317 {
+	// The generated plant's model description honours the 317-output
+	// contract.
+	if got := len(dn.Description().OutputRefs()); got != 317 {
 		t.Errorf("outputs = %d", got)
 	}
-	if _, err := NewCoolingFMU(FrontierCoolingModel()); err != nil {
+	if _, err := fmu.NewDesign(FrontierCoolingModel()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -162,39 +162,23 @@ func TestFacadeDiagnosticsAndLevels(t *testing.T) {
 	if res.PowerMW.Mean < 8 || res.PowerMW.Std <= 0 {
 		t.Errorf("UQ power = %+v", res.PowerMW)
 	}
-	// Anomaly detector over a fresh FMU snapshot.
+	// Anomaly detector over a fresh plant snapshot.
 	det := NewAnomalyDetector()
-	inst, err := NewCoolingFMU(FrontierCoolingModel())
+	plant, err := cooling.New(FrontierCoolingModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.SetupExperiment(0); err != nil {
-		t.Fatal(err)
+	in := cooling.Inputs{CDUHeatW: make([]float64, 25), WetBulbC: 20, ITPowerW: 16.9e6}
+	for i := range in.CDUHeatW {
+		in.CDUHeatW[i] = 16e6 / 25
 	}
-	d := inst.Description()
-	refs := make([]ValueRef, 0, 27)
-	vals := make([]float64, 0, 27)
-	for i := 1; i <= 25; i++ {
-		r, err := d.RefByName(fmt.Sprintf("cdu[%d].heat_w", i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		refs = append(refs, r)
-		vals = append(vals, 16e6/25)
-	}
-	wb, _ := d.RefByName("wetbulb_temp_c")
-	it, _ := d.RefByName("it_power_w")
-	refs = append(refs, wb, it)
-	vals = append(vals, 20, 16.9e6)
-	if err := inst.SetReal(refs, vals); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := inst.DoStep(15); err != nil {
+	const steps = 40
+	for i := 0; i < steps; i++ {
+		if err := plant.Step(15, in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	alarms := det.CheckCooling(inst.Plant().Snapshot(), inst.Time())
+	alarms := det.CheckCooling(plant.Snapshot(), steps*15)
 	if len(alarms) != 0 {
 		t.Errorf("healthy plant alarmed via facade: %v", alarms)
 	}

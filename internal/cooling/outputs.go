@@ -105,7 +105,7 @@ func (p *Plant) Snapshot() *Outputs {
 
 // SnapshotInto decodes the plant's current condition into out, reusing
 // its slices when they have capacity — the allocation-free variant of
-// Snapshot for the 15 s FMU coupling loop.
+// Snapshot for the 15 s RAPS coupling loop.
 func (p *Plant) SnapshotInto(out *Outputs) {
 	cfg := p.cfg
 	if cap(out.CDUs) < len(p.cdus) {

@@ -39,7 +39,6 @@ type cduState struct {
 	qPrim     float64 // primary flow, m³/s
 	pumpSpeed float64
 	pumpPower float64
-	hexDuty   float64 // last heat transferred secondary→primary, W
 	primOutT  float64 // last primary-side outlet temperature
 }
 
@@ -82,7 +81,6 @@ type Plant struct {
 	ctwpPowerW float64
 	fanPowerW  float64 // total across staged cells
 	ehxStaged  int
-	ehxDutyW   float64
 	towerRejW  float64
 
 	// secFouling multiplies each CDU's secondary-loop resistance to model
@@ -686,16 +684,15 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 		dydt[2*i] = hot.DTdt(mdotSec, secColdT, in.CDUHeatW[i])
 
 		// HEX-1600: secondary (hot) → primary (cold).
-		var q, secOutT, primOutT float64
+		var secOutT, primOutT float64
 		if p.frozenUA {
-			q, secOutT, primOutT = cfg.CDUHex.TransferUA(p.cduUA[i], secHotT, mdotSec, htwSupplyT, mdotPrim)
+			_, secOutT, primOutT = cfg.CDUHex.TransferUA(p.cduUA[i], secHotT, mdotSec, htwSupplyT, mdotPrim)
 		} else {
-			q, secOutT, primOutT = cfg.CDUHex.Transfer(secHotT, mdotSec, htwSupplyT, mdotPrim)
+			_, secOutT, primOutT = cfg.CDUHex.Transfer(secHotT, mdotSec, htwSupplyT, mdotPrim)
 		}
 		cold := thermal.Volume{Mass: cfg.SecVolumeKg, T: secColdT}
 		dydt[2*i+1] = cold.DTdt(mdotSec, secOutT, 0)
 
-		c.hexDuty = q
 		c.primOutT = primOutT
 		mixNum += mdotPrim * primOutT
 		mixDen += mdotPrim
@@ -707,15 +704,14 @@ func (s thermalSystem) Derivatives(t float64, y, dydt []float64) {
 
 	// Intermediate EHX bank: HTW return (hot) → CTW (cold), per unit.
 	nEHX := float64(p.ehxStaged)
-	var qEHX, htwOutT, ctwOutT float64
+	var htwOutT, ctwOutT float64
 	if p.frozenUA {
-		qEHX, htwOutT, ctwOutT = cfg.EHX.TransferUA(p.ehxUA,
+		_, htwOutT, ctwOutT = cfg.EHX.TransferUA(p.ehxUA,
 			htwReturnT, mdotHTW/nEHX, ctwSupplyT, mdotCTW/nEHX)
 	} else {
-		qEHX, htwOutT, ctwOutT = cfg.EHX.Transfer(
+		_, htwOutT, ctwOutT = cfg.EHX.Transfer(
 			htwReturnT, mdotHTW/nEHX, ctwSupplyT, mdotCTW/nEHX)
 	}
-	p.ehxDutyW = qEHX * nEHX
 
 	// Cooling-tower cells reject to the wet bulb.
 	cells := p.cellStager.Count()
@@ -836,25 +832,6 @@ func clampInt(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// HeatFlows reports the instantaneous heat-flow accounting along the
-// rejection path: total CDU HEX duty, total intermediate-EHX duty, and
-// cooling-tower rejection, all in watts. At steady state the three agree
-// with the injected CDU heat.
-func (p *Plant) HeatFlows() (cduHexW, ehxW, towerW float64) {
-	for i := range p.cdus {
-		cduHexW += p.cdus[i].hexDuty
-	}
-	return cduHexW, p.ehxDutyW, p.towerRejW
-}
-
-// ControlState reports the key actuator commands for dashboards and
-// tests: the first CDU's valve position, the HTWP/CTWP common speeds, the
-// header differential pressure, and the common tower fan speed.
-func (p *Plant) ControlState() (valvePos, htwpSpeed, headerDPPa, ctwpSpeed, fanSpeed float64) {
-	return p.cdus[0].valve.Position(), p.htwpSpeed, p.headerDPPa,
-		p.ctwpSpeed, p.fanSpeed
 }
 
 // InjectSecondaryFouling multiplies CDU cdu's secondary-loop resistance

@@ -14,10 +14,10 @@ import (
 )
 
 // CompiledSpec is a validated SystemSpec with its expensive derived
-// artifacts — the per-mode power models and the cooling FMU design —
+// artifacts — the per-mode power models and the cooling design —
 // built once and shared read-only by every scenario run against it. A
 // RunBatch worker or service sweep that rebuilds these per scenario pays
-// the full 9472-node model assembly and 300+-variable FMU description
+// the full 9472-node model assembly and 300+-variable model description
 // walk each time; compiling once amortizes that across the whole sweep.
 //
 // All methods are safe for concurrent use; the cached artifacts are
@@ -107,7 +107,7 @@ func (cs *CompiledSpec) Models(mode string) ([]*power.Model, error) {
 	return ms, nil
 }
 
-// CoolingDesign returns the shared FMU design for the spec's own cooling
+// CoolingDesign returns the shared cooling design for the spec's own cooling
 // plant, compiling it on first use. SystemSpec.Cooling is the single
 // source of truth: a preset name resolves to its hand-calibrated plant
 // (the default Frontier spec is bit-identical to the paper-validated
@@ -117,10 +117,13 @@ func (cs *CompiledSpec) CoolingDesign() (*fmu.Design, error) {
 	return cs.CoolingDesignFor(cs.spec.Cooling)
 }
 
-// CoolingDesignFor returns the shared FMU design for an arbitrary
+// CoolingDesignFor returns the shared cooling design for an arbitrary
 // cooling spec — the path scenarios take when they override the system's
 // plant, letting one sweep mix cooling variants against the same compute
-// spec. The spec is resolved to a concrete plant first (one registry
+// spec. A design is the validated plant configuration each run builds
+// its coupled plant from, plus the FMI-style model description (the
+// 317-output contract) that dashboards label outputs with; RAPS steps
+// the plant directly, not through the description. The spec is resolved to a concrete plant first (one registry
 // read) and the cache keyed by the resolved content, so a preset
 // re-registered concurrently can never cache a design under another
 // plant's hash; designs are compiled once per distinct plant and served
@@ -144,8 +147,8 @@ func (cs *CompiledSpec) CoolingDesignFor(spec config.CoolingSpec) (*fmu.Design, 
 	// The simulation couples one heat input per topology CDU across all
 	// partitions (each partition claims a contiguous loop range of the
 	// shared plant), so the plant must expose at least the summed count;
-	// catching it here gives submitters a clear error instead of a
-	// missing-FMU-variable failure deep inside a worker.
+	// catching it here gives submitters a clear error before any
+	// scenario reaches raps.NewMulti's own guard inside a worker.
 	topo := 0
 	for i := range cs.spec.Partitions {
 		topo += cs.spec.Partitions[i].NumCDUs

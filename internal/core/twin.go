@@ -1,5 +1,5 @@
 // Package core assembles the ExaDigiT digital twin: the RAPS power and
-// resource simulator, the cooling plant behind its FMU interface, the
+// resource simulator, the cooling plant it steps every 15 s, the
 // telemetry pipeline, and the visual-analytics data source. It is the
 // integration layer the paper's Fig. 1 architecture diagram describes,
 // exposed to downstream users through the root exadigit package.
@@ -9,6 +9,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -342,8 +344,8 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if sc.HorizonSec <= 0 {
-		return nil, fmt.Errorf("core: scenario horizon must be positive")
+	if sc.HorizonSec <= 0 || math.IsNaN(sc.HorizonSec) || math.IsInf(sc.HorizonSec, 0) {
+		return nil, fmt.Errorf("core: scenario horizon must be positive and finite, got %v", sc.HorizonSec)
 	}
 	start := time.Now()
 	models, err := tw.buildModels(sc.PowerMode)
@@ -587,9 +589,11 @@ func (tw *Twin) ExperimentRunner() viz.ExperimentRunner {
 			sc.Workload = WorkloadSynthetic
 		}
 		if h := params["horizon_sec"]; h != "" {
-			if _, err := fmt.Sscanf(h, "%f", &sc.HorizonSec); err != nil {
+			v, err := strconv.ParseFloat(h, 64)
+			if err != nil {
 				return nil, fmt.Errorf("core: bad horizon_sec %q", h)
 			}
+			sc.HorizonSec = v
 		}
 		sc.PowerMode = params["mode"]
 		sc.Cooling = params["cooling"] == "true"

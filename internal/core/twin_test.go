@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"testing"
+	"time"
 
 	"exadigit/internal/config"
 	"exadigit/internal/job"
@@ -198,6 +199,57 @@ func TestExperimentRunner(t *testing.T) {
 	}
 	if _, err := run(context.Background(), map[string]string{"horizon_sec": "xyz"}); err == nil {
 		t.Error("bad horizon should fail")
+	}
+}
+
+// TestNonFiniteHorizonRejected pins the horizon guard on both entry
+// points: a NaN or infinite horizon, or a horizon_sec with trailing
+// garbage, is rejected up front. A NaN horizon that slips through never
+// satisfies the job generator's exit test, so every call runs under a
+// deadline and a hang fails the test instead of wedging it.
+func TestNonFiniteHorizonRejected(t *testing.T) {
+	tw, err := NewFrontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	runHorizon := func(h float64) func() error {
+		return func() error {
+			_, err := tw.Run(Scenario{Workload: WorkloadSynthetic, HorizonSec: h, TickSec: 15})
+			return err
+		}
+	}
+	runner := tw.ExperimentRunner()
+	runParam := func(h string) func() error {
+		return func() error {
+			_, err := runner(context.Background(), map[string]string{"horizon_sec": h})
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		call func() error
+	}{
+		{"Run/NaN", runHorizon(math.NaN())},
+		{"Run/+Inf", runHorizon(math.Inf(1))},
+		{"Run/-Inf", runHorizon(math.Inf(-1))},
+		{"runner/NaN", runParam("NaN")},
+		{"runner/Inf", runParam("Inf")},
+		{"runner/+Inf", runParam("+Inf")},
+		{"runner/-Inf", runParam("-Inf")},
+		{"runner/trailing-garbage", runParam("900xyz")},
+	}
+	const deadline = 3 * time.Second
+	for _, tc := range cases {
+		done := make(chan error, 1)
+		go func() { done <- tc.call() }()
+		select {
+		case err := <-done:
+			if err == nil {
+				t.Errorf("%s: horizon accepted", tc.name)
+			}
+		case <-time.After(deadline):
+			t.Fatalf("%s: not rejected within %v", tc.name, deadline)
+		}
 	}
 }
 

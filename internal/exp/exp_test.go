@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"exadigit/internal/core"
 	"exadigit/internal/job"
 	"exadigit/internal/power"
 	"exadigit/internal/raps"
@@ -273,9 +274,38 @@ func TestWhatIfShapes(t *testing.T) {
 	}
 }
 
+// replayThroughTwin replays a stored telemetry dataset through the
+// Frontier twin's replay workload over the dataset's own span and scores
+// the predicted power against its measured channel.
+func replayThroughTwin(ds *telemetry.Dataset) (*raps.Report, float64, error) {
+	tw, err := core.NewFrontier()
+	if err != nil {
+		return nil, 0, err
+	}
+	horizon := 0.0
+	if n := len(ds.Series); n > 0 {
+		horizon = ds.Series[n-1].TimeSec
+	}
+	res, err := tw.Run(core.Scenario{
+		Workload: core.WorkloadReplay, Dataset: ds, HorizonSec: horizon, TickSec: 15,
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	n := min(len(res.History), len(ds.Series))
+	pred := make([]float64, n)
+	meas := make([]float64, n)
+	for i := range pred {
+		pred[i] = res.History[i].PowerW
+		meas[i] = ds.Series[i].MeasuredPowerW
+	}
+	mape, err := stats.MAPE(pred, meas)
+	return res.Report, mape, err
+}
+
 func TestReplayDatasetErrors(t *testing.T) {
 	// A dataset without a series cannot be replayed against.
-	if _, _, err := ReplayDataset(&telemetry.Dataset{}, 15); err == nil {
+	if _, _, err := replayThroughTwin(&telemetry.Dataset{}); err == nil {
 		t.Error("empty dataset should fail")
 	}
 }
@@ -299,7 +329,7 @@ func TestReplayDatasetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := sim.ExportTelemetry("short-day")
-	rep, mape, err := ReplayDataset(ds, 15)
+	rep, mape, err := replayThroughTwin(ds)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,15 +143,15 @@ func Fig4() (*Table, []Fig4Row) {
 	return t, rows
 }
 
-// TableII verifies the telemetry/FMU interface contract: the cooling FMU
-// must expose the §III-C4 variable set (25 heat inputs + wet bulb + IT
-// power, 317 outputs).
+// TableII verifies the telemetry/FMU interface contract: the cooling
+// model description must expose the §III-C4 variable set (25 heat inputs
+// + wet bulb + IT power, 317 outputs).
 func TableII() (*Table, error) {
-	inst, err := fmu.Instantiate(cooling.Frontier())
+	dn, err := fmu.NewDesign(cooling.Frontier())
 	if err != nil {
 		return nil, err
 	}
-	d := inst.Description()
+	d := dn.Description()
 	inputs, outputs := 0, 0
 	for _, v := range d.Variables {
 		switch v.Causality {

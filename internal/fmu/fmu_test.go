@@ -7,18 +7,17 @@ import (
 	"exadigit/internal/cooling"
 )
 
-func newInstance(t *testing.T) *Instance {
+func newDesign(t *testing.T) *Design {
 	t.Helper()
-	inst, err := Instantiate(cooling.Frontier())
+	dn, err := NewDesign(cooling.Frontier())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return inst
+	return dn
 }
 
 func TestModelDescriptionShape(t *testing.T) {
-	inst := newInstance(t)
-	d := inst.Description()
+	d := newDesign(t).Description()
 	if d.ModelName != "ExaDigiT.CoolingPlant" {
 		t.Errorf("model name = %q", d.ModelName)
 	}
@@ -32,162 +31,71 @@ func TestModelDescriptionShape(t *testing.T) {
 	}
 	// Unique refs and names.
 	refs := map[ValueRef]bool{}
-	names := map[string]bool{}
+	byName := map[string]ScalarVariable{}
 	for _, v := range d.Variables {
 		if refs[v.Ref] {
 			t.Fatalf("duplicate ref %d", v.Ref)
 		}
-		if names[v.Name] {
+		if _, dup := byName[v.Name]; dup {
 			t.Fatalf("duplicate name %q", v.Name)
 		}
 		refs[v.Ref] = true
-		names[v.Name] = true
+		byName[v.Name] = v
 	}
-	// Units inferred from suffixes.
-	ref, err := d.RefByName("pue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = ref
-	if _, err := d.RefByName("no-such-variable"); err == nil {
-		t.Error("unknown name should error")
-	}
-}
-
-func TestLifecycle(t *testing.T) {
-	inst := newInstance(t)
-	if inst.State() != Instantiated {
-		t.Fatal("fresh instance state wrong")
-	}
-	if err := inst.DoStep(15); err == nil {
-		t.Error("DoStep before SetupExperiment must fail")
-	}
-	if err := inst.SetupExperiment(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.SetupExperiment(0); err == nil {
-		t.Error("double SetupExperiment must fail")
-	}
-	setTypicalInputs(t, inst)
-	if err := inst.DoStep(15); err != nil {
-		t.Fatal(err)
-	}
-	if inst.State() != Stepping || inst.Time() != 15 {
-		t.Errorf("state %v time %v after DoStep", inst.State(), inst.Time())
-	}
-	inst.Terminate()
-	if err := inst.DoStep(15); err == nil {
-		t.Error("DoStep after Terminate must fail")
-	}
-	if err := inst.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if inst.State() != Instantiated || inst.Time() != 0 {
-		t.Error("Reset should return to Instantiated at t=0")
-	}
-}
-
-func setTypicalInputs(t *testing.T, inst *Instance) {
-	t.Helper()
-	d := inst.Description()
-	refs := make([]ValueRef, 0, 27)
-	vals := make([]float64, 0, 27)
-	for i := 1; i <= 25; i++ {
-		r, err := d.RefByName(nameOfCDUHeat(i))
-		if err != nil {
-			t.Fatal(err)
+	// Causality and units inferred from suffixes.
+	for name, want := range map[string]ScalarVariable{
+		"cdu[1].heat_w":                     {Causality: Input, Unit: "W"},
+		"wetbulb_temp_c":                    {Causality: Input, Unit: "degC"},
+		"cdu[25].secondary_flow_m3s":        {Causality: Output, Unit: "m3/s"},
+		"facility.supply_temp_c":            {Causality: Output, Unit: "degC"},
+		"cdu[3].primary_supply_pressure_pa": {Causality: Output, Unit: "Pa"},
+		"primary.htwp[1].power_w":           {Causality: Output, Unit: "W"},
+		"pue":                               {Causality: Output, Unit: ""},
+	} {
+		v, ok := byName[name]
+		if !ok {
+			t.Fatalf("no variable %q", name)
 		}
-		refs = append(refs, r)
-		vals = append(vals, 16e6/25)
-	}
-	wb, err := d.RefByName("wetbulb_temp_c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := d.RefByName("it_power_w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs = append(refs, wb, it)
-	vals = append(vals, 20, 16.9e6)
-	if err := inst.SetReal(refs, vals); err != nil {
-		t.Fatal(err)
+		if v.Causality != want.Causality || v.Unit != want.Unit {
+			t.Errorf("%s: %v %q, want %v %q", name, v.Causality, v.Unit, want.Causality, want.Unit)
+		}
 	}
 }
 
-func nameOfCDUHeat(i int) string {
-	return "cdu[" + itoa(i) + "].heat_w"
-}
-
-func itoa(i int) string {
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return string(rune('0'+i/10)) + string(rune('0'+i%10))
-}
-
-func TestSetRealValidation(t *testing.T) {
-	inst := newInstance(t)
-	d := inst.Description()
-	pue, err := d.RefByName("pue")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.SetReal([]ValueRef{pue}, []float64{1}); err == nil {
-		t.Error("writing an output must fail")
-	}
-	if err := inst.SetReal([]ValueRef{9999}, []float64{1}); err == nil {
-		t.Error("unknown ref must fail")
-	}
-	if err := inst.SetReal([]ValueRef{1}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch must fail")
-	}
-}
-
-func TestGetRealBeforeStepFails(t *testing.T) {
-	inst := newInstance(t)
-	d := inst.Description()
-	pue, _ := d.RefByName("pue")
-	out := make([]float64, 1)
-	if err := inst.GetReal([]ValueRef{pue}, out); err == nil {
-		t.Error("reading outputs before DoStep must fail")
-	}
-	// Inputs are readable immediately (echo).
-	wb, _ := d.RefByName("wetbulb_temp_c")
-	if err := inst.SetReal([]ValueRef{wb}, []float64{21.5}); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.GetReal([]ValueRef{wb}, out); err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 21.5 {
-		t.Errorf("input echo = %v", out[0])
-	}
-}
-
+// TestCoSimulationProducesPhysicalOutputs steps the plant the design
+// describes at the paper's 15 s coupling interval and reads its outputs
+// by the description's names: the output vector and the declared outputs
+// line up one to one, and the values are physical.
 func TestCoSimulationProducesPhysicalOutputs(t *testing.T) {
-	inst := newInstance(t)
-	if err := inst.SetupExperiment(0); err != nil {
+	dn := newDesign(t)
+	plant, err := cooling.New(dn.Config())
+	if err != nil {
 		t.Fatal(err)
 	}
-	setTypicalInputs(t, inst)
+	in := cooling.Inputs{CDUHeatW: make([]float64, 25), WetBulbC: 20, ITPowerW: 16.9e6}
+	for i := range in.CDUHeatW {
+		in.CDUHeatW[i] = 16e6 / 25
+	}
 	// Run 30 simulated minutes at the paper's 15 s communication step.
 	for i := 0; i < 120; i++ {
-		if err := inst.DoStep(15); err != nil {
+		if err := plant.Step(15, in); err != nil {
 			t.Fatal(err)
 		}
 	}
-	d := inst.Description()
+	vals := plant.Snapshot().Vector()
+	names := dn.OutputNames()
+	if len(vals) != len(names) || len(names) != len(dn.Description().OutputRefs()) {
+		t.Fatalf("output vector %d, names %d, declared outputs %d",
+			len(vals), len(names), len(dn.Description().OutputRefs()))
+	}
 	get := func(name string) float64 {
-		r, err := d.RefByName(name)
-		if err != nil {
-			t.Fatal(err)
+		for i, n := range names {
+			if n == name {
+				return vals[i]
+			}
 		}
-		out := make([]float64, 1)
-		if err := inst.GetReal([]ValueRef{r}, out); err != nil {
-			t.Fatal(err)
-		}
-		return out[0]
+		t.Fatalf("no output %q", name)
+		return 0
 	}
 	pue := get("pue")
 	if pue < 1.01 || pue > 1.10 {
@@ -199,30 +107,10 @@ func TestCoSimulationProducesPhysicalOutputs(t *testing.T) {
 	if q := get("facility.htw_flow_m3s"); q <= 0 {
 		t.Errorf("HTW flow = %v", q)
 	}
-	// Read the whole output vector at once.
-	refs := d.OutputRefs()
-	vals := make([]float64, len(refs))
-	if err := inst.GetReal(refs, vals); err != nil {
-		t.Fatal(err)
-	}
 	for i, v := range vals {
 		if math.IsNaN(v) {
 			t.Fatalf("output %d is NaN", i)
 		}
-	}
-}
-
-func TestDoStepRejectsBadStep(t *testing.T) {
-	inst := newInstance(t)
-	if err := inst.SetupExperiment(0); err != nil {
-		t.Fatal(err)
-	}
-	setTypicalInputs(t, inst)
-	if err := inst.DoStep(0); err == nil {
-		t.Error("zero step must fail")
-	}
-	if err := inst.DoStep(-15); err == nil {
-		t.Error("negative step must fail")
 	}
 }
 
@@ -232,32 +120,5 @@ func TestCausalityString(t *testing.T) {
 	}
 	if Causality(9).String() == "" {
 		t.Error("unknown causality should have a name")
-	}
-}
-
-// TestDoStepDoesNotAllocate pins the hot-loop allocation fix: the ODE
-// stage buffers, hydraulic scratch, snapshot record, and output vector
-// are all reused across DoStep calls (a cooled tick used to cost ~156
-// allocations, all inside DoStep).
-func TestDoStepDoesNotAllocate(t *testing.T) {
-	inst := newInstance(t)
-	if err := inst.SetupExperiment(0); err != nil {
-		t.Fatal(err)
-	}
-	setTypicalInputs(t, inst)
-	// Warm up: first steps size the reusable buffers.
-	for i := 0; i < 4; i++ {
-		if err := inst.DoStep(15); err != nil {
-			t.Fatal(err)
-		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if err := inst.DoStep(15); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// Staging transients may allocate the odd time; steady state is 0.
-	if allocs > 2 {
-		t.Errorf("DoStep allocates %.0f objects/step; want ~0", allocs)
 	}
 }

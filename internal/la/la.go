@@ -1,7 +1,7 @@
 // Package la implements the small dense linear-algebra kernels the
 // twin needs: a dense solve (LU with partial pivoting) for the
-// surrogate's ridge normal equations, tridiagonal (Thomas) solves, and
-// the vector operations of the ODE integrators. Systems in this codebase
+// surrogate's ridge normal equations and the vector operations of the
+// ODE integrators. Systems in this codebase
 // are tiny (tens of unknowns), so the implementation favours clarity and
 // numerical robustness over blocking or parallelism.
 package la
@@ -30,29 +30,8 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns element (i, j).
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns element (i, j).
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
 // Add increments element (i, j) by v.
 func (m *Matrix) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
-// MulVec computes y = M·x. y must have length Rows and x length Cols.
-func (m *Matrix) MulVec(x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("la: MulVec dimension mismatch")
-	}
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, xv := range x {
-			s += row[j] * xv
-		}
-		y[i] = s
-	}
-}
 
 // luFactors holds an LU factorization with partial pivoting (PA = LU).
 type luFactors struct {
@@ -150,40 +129,6 @@ func SolveDense(a *Matrix, b []float64) ([]float64, error) {
 	x := make([]float64, len(b))
 	if err := f.solve(b, x); err != nil {
 		return nil, err
-	}
-	return x, nil
-}
-
-// SolveTridiag solves a tridiagonal system using the Thomas algorithm.
-// sub, diag, sup are the sub-, main and super-diagonals (len(sub) and
-// len(sup) are n-1). The right-hand side b and solution share length n.
-// Inputs are not modified.
-func SolveTridiag(sub, diag, sup, b []float64) ([]float64, error) {
-	n := len(diag)
-	if len(b) != n || len(sub) != n-1 || len(sup) != n-1 {
-		return nil, fmt.Errorf("la: SolveTridiag dimension mismatch")
-	}
-	c := make([]float64, n-1)
-	d := make([]float64, n)
-	if diag[0] == 0 {
-		return nil, ErrSingular
-	}
-	c[0] = sup[0] / diag[0]
-	d[0] = b[0] / diag[0]
-	for i := 1; i < n; i++ {
-		den := diag[i] - sub[i-1]*c[i-1]
-		if den == 0 || math.IsNaN(den) {
-			return nil, ErrSingular
-		}
-		if i < n-1 {
-			c[i] = sup[i] / den
-		}
-		d[i] = (b[i] - sub[i-1]*d[i-1]) / den
-	}
-	x := make([]float64, n)
-	x[n-1] = d[n-1]
-	for i := n - 2; i >= 0; i-- {
-		x[i] = d[i] - c[i]*x[i+1]
 	}
 	return x, nil
 }

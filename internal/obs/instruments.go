@@ -43,11 +43,8 @@ func (g *Gauge) Add(delta float64) {
 	}
 }
 
-// Inc and Dec adjust the gauge by ±1 (in-flight style gauges).
+// Inc adds one (in-flight style gauges).
 func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

@@ -76,3 +76,21 @@ func TestCoolingCoastSkipsQuietBoundaries(t *testing.T) {
 		t.Errorf("PUE diverged beyond tolerance: %v vs %v", fr.AvgPUE, ar.AvgPUE)
 	}
 }
+
+// TestCoolingStepDoesNotAllocate pins the hot-loop allocation budget of
+// the 15 s plant coupling: the Inputs record, the ODE stage buffers and
+// the hydraulic scratch are all reused across steps (a cooled tick used
+// to cost ~156 allocations in the coupling).
+func TestCoolingStepDoesNotAllocate(t *testing.T) {
+	sim := runCooledQuiet(t, "", 300)
+	allocs := testing.AllocsPerRun(50, func() {
+		sim.now += sim.cfg.CoolingDtSec
+		if err := sim.stepCooling(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Staging transients may allocate the odd time; steady state is 0.
+	if allocs > 2 {
+		t.Errorf("coupling step allocates %.0f objects/step; want ~0", allocs)
+	}
+}

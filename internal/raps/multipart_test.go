@@ -72,10 +72,7 @@ func TestMultiPartitionHeatConservation(t *testing.T) {
 		// sample time is a coupling boundary and stepCooling ran earlier
 		// in the same tick.
 		boundaries++
-		fed := make([]float64, len(sim.heatRefs))
-		if err := sim.cool.GetReal(sim.heatRefs, fed); err != nil {
-			t.Fatal(err)
-		}
+		fed := sim.coolIn.CDUHeatW[:sim.totalCDUs]
 		var fedSum, recSum float64
 		for _, h := range fed {
 			fedSum += h
@@ -104,12 +101,8 @@ func TestMultiPartitionHeatConservation(t *testing.T) {
 			}
 			off += n
 		}
-		itBuf := make([]float64, 1)
-		if err := sim.cool.GetReal([]fmu.ValueRef{sim.itRef}, itBuf); err != nil {
-			t.Fatal(err)
-		}
-		if itBuf[0] != smp.PowerW {
-			t.Fatalf("t=%v: plant it_power_w = %v, sample power = %v", smp.TimeSec, itBuf[0], smp.PowerW)
+		if it := sim.coolIn.ITPowerW; it != smp.PowerW {
+			t.Fatalf("t=%v: plant it_power_w = %v, sample power = %v", smp.TimeSec, it, smp.PowerW)
 		}
 		if smp.PartPowerW[0]+smp.PartPowerW[1] != smp.PowerW {
 			t.Fatalf("t=%v: partition powers %v do not sum to %v", smp.TimeSec, smp.PartPowerW, smp.PowerW)
@@ -179,7 +172,7 @@ func TestMultiPartitionEventMatchesDense(t *testing.T) {
 
 // TestNewMultiRejectsUndersizedPlant pins the raps-level guard: coupling
 // more partition CDUs than the plant has loops fails at construction
-// with a missing-variable error instead of corrupting the coupling.
+// with a CDU-count error instead of corrupting the coupling.
 func TestNewMultiRejectsUndersizedPlant(t *testing.T) {
 	small := cooling.Frontier()
 	small.NumCDUs = 3 // fewer than the 4 loops the partitions couple

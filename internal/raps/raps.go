@@ -3,10 +3,12 @@
 // one-second ticks: arriving jobs enter the pending queue, the scheduler
 // assigns nodes, per-node power follows the CPU/GPU utilization traces
 // through the Eq. 3 component model with Eq. 1-2 conversion losses, and
-// every 15 s the aggregated per-CDU heat drives the cooling model through
-// the FMU interface. At the end of a run the §III-B5 report is produced:
-// jobs completed, throughput, average power, energy, losses, CO₂
-// emissions (Eq. 6), and electricity cost.
+// every 15 s the aggregated per-CDU heat drives the cooling plant
+// directly through cooling.Plant.Step (the paper's FMU boundary survives
+// as the fmu.Design model description, not as a call layer). At the end
+// of a run the §III-B5 report is produced: jobs completed, throughput,
+// average power, energy, losses, CO₂ emissions (Eq. 6), and electricity
+// cost.
 //
 // A Simulation couples one or more partitions (§V's multi-partition
 // generalization, Setonix-style): each partition owns its scheduler, job
@@ -67,12 +69,12 @@ type Config struct {
 	TickSec float64
 	// CoolingDtSec is the cooling-model coupling period (15 s, §III-B).
 	CoolingDtSec float64
-	// EnableCooling couples the cooling FMU (≈3× slower, §IV-3).
+	// EnableCooling couples the cooling plant (≈3× slower, §IV-3).
 	EnableCooling bool
-	// CoolingDesign, when set, supplies the precompiled FMU design to
-	// instantiate the cooling model from — sweeps compile it once per
-	// spec and share it across scenarios. nil compiles a private
-	// Frontier-plant design (the pre-existing behavior).
+	// CoolingDesign, when set, supplies the precompiled cooling design
+	// whose plant configuration the coupled plant is built from — sweeps
+	// compile it once per spec and share it across scenarios. nil
+	// couples the Frontier plant.
 	CoolingDesign *fmu.Design
 	// Engine selects the power-evaluation strategy; the zero value is
 	// the event-driven incremental engine.
@@ -270,24 +272,22 @@ func (pt *partSim) util() float64 {
 
 // Simulation is one RAPS run in progress.
 type Simulation struct {
-	cfg    Config
-	parts  []*partSim
-	fmuGet []fmu.ValueRef
+	cfg   Config
+	parts []*partSim
 
-	cool     *fmu.Instance
-	heatRefs []fmu.ValueRef
-	wbRef    fmu.ValueRef
-	itRef    fmu.ValueRef
-	// lastCoolT is the sim time of the last cooling DoStep; coasting
-	// across quiet boundaries leaves it behind s.now until the plant is
-	// stepped across the whole gap at once. coolCoastS is the plant's
-	// coast window (0 for the fixed-step solver: every boundary steps).
+	// plant is the coupled cooling plant (nil when cooling is disabled).
+	// coolIn is the one Inputs record every coupling step refills; loops
+	// past totalCDUs keep zero heat. coolOut is the reused sample
+	// snapshot.
+	plant   *cooling.Plant
+	coolIn  cooling.Inputs
+	coolOut cooling.Outputs
+	// lastCoolT is the sim time of the last plant step; coasting across
+	// quiet boundaries leaves it behind s.now until the plant is stepped
+	// across the whole gap at once. coolCoastS is the plant's coast
+	// window (0 for the fixed-step solver: every boundary steps).
 	lastCoolT  float64
 	coolCoastS float64
-	// Preallocated cooling-coupling scratch (refs are constant).
-	coolRefs []fmu.ValueRef
-	coolVals []float64
-	fmuOut   []float64
 
 	now     float64
 	history []Sample
@@ -395,55 +395,19 @@ func NewMulti(cfg Config, partitions []Partition) (*Simulation, error) {
 	}
 
 	if cfg.EnableCooling {
-		design := cfg.CoolingDesign
-		if design == nil {
-			design, err = fmu.NewDesign(cooling.Frontier())
-			if err != nil {
-				return nil, err
-			}
+		pcfg := cooling.Frontier()
+		if cfg.CoolingDesign != nil {
+			pcfg = cfg.CoolingDesign.Config()
 		}
-		inst, err := design.Instantiate()
-		if err != nil {
+		if s.totalCDUs > pcfg.NumCDUs {
+			return nil, fmt.Errorf("raps: cooling plant has %d CDU loops but the partitions couple %d",
+				pcfg.NumCDUs, s.totalCDUs)
+		}
+		if s.plant, err = cooling.New(pcfg); err != nil {
 			return nil, err
 		}
-		if err := inst.SetupExperiment(0); err != nil {
-			return nil, err
-		}
-		d := inst.Description()
-		for i := 1; i <= s.totalCDUs; i++ {
-			r, err := d.RefByName(fmt.Sprintf("cdu[%d].heat_w", i))
-			if err != nil {
-				return nil, err
-			}
-			s.heatRefs = append(s.heatRefs, r)
-		}
-		if s.wbRef, err = d.RefByName("wetbulb_temp_c"); err != nil {
-			return nil, err
-		}
-		if s.itRef, err = d.RefByName("it_power_w"); err != nil {
-			return nil, err
-		}
-		ret, err := d.RefByName("facility.return_temp_c")
-		if err != nil {
-			return nil, err
-		}
-		sup, err := d.RefByName("facility.supply_temp_c")
-		if err != nil {
-			return nil, err
-		}
-		s.fmuGet = []fmu.ValueRef{ret, sup}
-		for i := 1; i <= s.totalCDUs; i++ {
-			r, err := d.RefByName(fmt.Sprintf("cdu[%d].secondary_supply_temp_c", i))
-			if err != nil {
-				return nil, err
-			}
-			s.fmuGet = append(s.fmuGet, r)
-		}
-		s.coolRefs = append(append([]fmu.ValueRef{}, s.heatRefs...), s.wbRef, s.itRef)
-		s.coolVals = make([]float64, len(s.coolRefs))
-		s.fmuOut = make([]float64, len(s.fmuGet))
-		s.cool = inst
-		s.coolCoastS = inst.Plant().CoastWindowS()
+		s.coolIn.CDUHeatW = make([]float64, pcfg.NumCDUs)
+		s.coolCoastS = s.plant.CoastWindowS()
 	}
 	return s, nil
 }
@@ -477,25 +441,6 @@ func (s *Simulation) History() []Sample { return s.history }
 // Partitions returns how many partitions the simulation couples.
 func (s *Simulation) Partitions() int { return len(s.parts) }
 
-// PartitionNames returns the partition labels in coupling order.
-func (s *Simulation) PartitionNames() []string {
-	names := make([]string, len(s.parts))
-	for i, pt := range s.parts {
-		names[i] = pt.name
-	}
-	return names
-}
-
-// PartitionPowerW returns the current per-partition input power, indexed
-// like the partitions.
-func (s *Simulation) PartitionPowerW() []float64 {
-	out := make([]float64, len(s.parts))
-	for i, pt := range s.parts {
-		out[i] = pt.sp.TotalW
-	}
-	return out
-}
-
 // PerRackPowerW returns the most recent per-rack input power (the
 // §III-A heat-map channel), concatenated across partitions in partition
 // order. On a single partition the slice is live simulation state
@@ -514,21 +459,16 @@ func (s *Simulation) PerRackPowerW() []float64 {
 }
 
 // CoolingPlant exposes the coupled plant (nil when cooling is disabled).
-func (s *Simulation) CoolingPlant() *cooling.Plant {
-	if s.cool == nil {
-		return nil
-	}
-	return s.cool.Plant()
-}
+func (s *Simulation) CoolingPlant() *cooling.Plant { return s.plant }
 
 // CoolingSolverStats returns the coupled plant's thermal-solver
 // accounting — the quiescent-fraction observability for the adaptive
 // cooling fast path (zero when cooling is disabled).
 func (s *Simulation) CoolingSolverStats() cooling.SolverStats {
-	if s.cool == nil {
+	if s.plant == nil {
 		return cooling.SolverStats{}
 	}
-	return s.cool.SolverStats()
+	return s.plant.SolverStats()
 }
 
 // Run advances the simulation for the given horizon (Algorithm 1's
@@ -605,7 +545,7 @@ func (s *Simulation) Tick() error {
 	}
 
 	// Couple the cooling model every 15 s (lines 23-26).
-	if s.cool != nil && s.onBoundary(s.cfg.CoolingDtSec) {
+	if s.plant != nil && s.onBoundary(s.cfg.CoolingDtSec) {
 		if err := s.stepCooling(); err != nil {
 			return err
 		}
@@ -715,11 +655,11 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 			consider(t)
 		}
 	}
-	if s.cool != nil {
+	if s.plant != nil {
 		period := s.cfg.CoolingDtSec
 		next := (math.Floor((s.now+1e-6)/period) + 1) * period
 		if s.coolCoastS > 0 {
-			if limit := s.lastCoolT + s.coolCoastS; limit > next && s.cool.Plant().CanCoast(s.cduHeat()) {
+			if limit := s.lastCoolT + s.coolCoastS; limit > next && s.plant.CanCoast(s.cduHeat()) {
 				// The plant is settled and would hold at the upcoming
 				// boundaries under the gap's (constant) heat: coast — the
 				// next cooling event is the end of the coast window,
@@ -762,8 +702,8 @@ func (s *Simulation) advanceQuiet(k int) {
 	ei := s.cfg.EmissionIntensity
 	fn := s.cfg.EmissionIntensityFn
 	pue := 0.0
-	if s.cool != nil {
-		pue = s.cool.Plant().PUE()
+	if s.plant != nil {
+		pue = s.plant.PUE()
 	}
 	for i := 0; i < k; i++ {
 		s.now += dt
@@ -777,7 +717,7 @@ func (s *Simulation) advanceQuiet(k int) {
 		s.nodeOutJ += nodeOut * dt
 		s.convInJ += (nodeOut + loss) * dt
 		s.utilSum += util * dt
-		if s.cool != nil && pue > 0 {
+		if s.plant != nil && pue > 0 {
 			s.pueSum += pue
 			s.pueCount++
 		}
@@ -890,9 +830,9 @@ func (s *Simulation) cduHeat() []float64 {
 // stepCooling advances the plant to s.now. The common case steps one
 // coupling interval exactly (bit-identical to the pre-coasting path).
 // After a coasted gap the deferred stretch is fast-forwarded first under
-// the inputs it was quiescent under — the values of the previous SetReal
-// — and only the final coupling interval sees the fresh inputs, so a
-// coast never back-applies a new transient over held time.
+// the inputs it was quiescent under — the previous step's, still in
+// s.coolIn — and only the final coupling interval sees the fresh inputs,
+// so a coast never back-applies a new transient over held time.
 func (s *Simulation) stepCooling() error {
 	period := s.cfg.CoolingDtSec
 	dt := s.now - s.lastCoolT
@@ -902,23 +842,18 @@ func (s *Simulation) stepCooling() error {
 	if math.Abs(dt-period) < 1e-6 {
 		dt = period
 	} else if dt > period {
-		if err := s.cool.DoStep(dt - period); err != nil {
+		if err := s.plant.Step(dt-period, s.coolIn); err != nil {
 			return err
 		}
 		dt = period
 	}
-	heat := s.cduHeat()
-	n := copy(s.coolVals, heat)
-	wb := 20.0
+	copy(s.coolIn.CDUHeatW, s.cduHeat())
+	s.coolIn.WetBulbC = 20
 	if s.cfg.WetBulbC != nil {
-		wb = s.cfg.WetBulbC(s.now)
+		s.coolIn.WetBulbC = s.cfg.WetBulbC(s.now)
 	}
-	s.coolVals[n] = wb
-	s.coolVals[n+1] = s.aggregate().totalW
-	if err := s.cool.SetReal(s.coolRefs, s.coolVals); err != nil {
-		return err
-	}
-	if err := s.cool.DoStep(dt); err != nil {
+	s.coolIn.ITPowerW = s.aggregate().totalW
+	if err := s.plant.Step(dt, s.coolIn); err != nil {
 		return err
 	}
 	s.lastCoolT = s.now
@@ -954,8 +889,8 @@ func (s *Simulation) accumulate(dt float64) {
 	if loss > s.maxLossW {
 		s.maxLossW = loss
 	}
-	if s.cool != nil {
-		if pue := s.cool.Plant().PUE(); pue > 0 {
+	if s.plant != nil {
+		if pue := s.plant.PUE(); pue > 0 {
 			s.pueSum += pue
 			s.pueCount++
 		}
@@ -987,14 +922,17 @@ func (s *Simulation) recordSample() {
 		s.cduHeat()
 		smp.EtaCooling = s.heatSum / p
 	}
-	if s.cool != nil {
-		smp.PUE = s.cool.Plant().PUE()
-		if err := s.cool.GetReal(s.fmuGet, s.fmuOut); err == nil {
-			smp.HTWReturnC = s.fmuOut[0]
-			smp.HTWSupplyC = s.fmuOut[1]
-			for _, v := range s.fmuOut[2:] {
-				if v > smp.SecSupplyMaxC {
-					smp.SecSupplyMaxC = v
+	if s.plant != nil {
+		smp.PUE = s.plant.PUE()
+		// The loop temperatures are reported once the plant has stepped
+		// (Time advances with every step), over the coupled loops only.
+		if s.plant.Time() > 0 {
+			s.plant.SnapshotInto(&s.coolOut)
+			smp.HTWReturnC = s.coolOut.FacilityReturnC
+			smp.HTWSupplyC = s.coolOut.FacilitySupplyC
+			for _, c := range s.coolOut.CDUs[:s.totalCDUs] {
+				if c.SecSupplyTempC > smp.SecSupplyMaxC {
+					smp.SecSupplyMaxC = c.SecSupplyTempC
 				}
 			}
 		}

@@ -429,16 +429,6 @@ func (s *Service) ListStudies() []StudyStatus {
 	return out
 }
 
-// CancelStudy aborts a study by id.
-func (s *Service) CancelStudy(id string) error {
-	st, ok := s.StudyByID(id)
-	if !ok {
-		return fmt.Errorf("service: no study %q", id)
-	}
-	st.Cancel()
-	return nil
-}
-
 // cancelAllStudies aborts every study (CancelAll's optimizer half).
 func (s *Service) cancelAllStudies() {
 	s.mu.Lock()

@@ -2,7 +2,7 @@
 // scenario-sweep service — the paper's twin-as-a-service deployment
 // (§III-B6), where the REST backend runs each what-if experiment as its
 // own worker. A Service owns a bounded simulation worker pool, compiles
-// each submitted SystemSpec once (power models + cooling FMU design,
+// each submitted SystemSpec once (power models + cooling design,
 // shared read-only by every scenario of every sweep against that spec),
 // deduplicates work through a content-addressed result cache keyed by
 // (spec hash, scenario hash), and exposes submit/status/cancel plus
