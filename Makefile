@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint bench-check bench-smoke bench-json bench-compare ci
+.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint bench-check bench-smoke ci
 
 all: build vet test
 
@@ -68,15 +68,5 @@ bench-check:
 # scrape cost under load, and the surrogate-accelerated optimizer.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'TwinDay|TableIV|RunBatchDays|SweepService|SweepWarmRestart|CoolingVariantSweep|MidDayCancel|MetricsScrapeUnderLoad|CoordinatorSweep|Optimize$$' -benchtime 1x .
-
-# Emit the benchmark series as JSON (BENCH_PR10.json) so the perf
-# trajectory is tracked PR over PR.
-bench-json:
-	./scripts/bench_json.sh BENCH_PR10.json
-
-# Diff the two most recent BENCH_PR*.json series benchmark by benchmark
-# (ns/op old vs new and the speedup ratio).
-bench-compare:
-	./scripts/bench_compare.sh
 
 ci: build vet test check bench-check bench-smoke

@@ -72,14 +72,6 @@ type Options struct {
 	// ProbeAfter is how long an unhealthy worker sits out before the
 	// pool risks a shard on it again (0 → 5s).
 	ProbeAfter time.Duration
-	// MaxThrottleWaits bounds how many 429 Retry-After waits the pool
-	// spends on one worker per shard before moving to the next
-	// candidate (0 → 4).
-	MaxThrottleWaits int
-	// MaxRetryAfter caps a single honored Retry-After delay, so one
-	// overloaded worker cannot stall a shard for a minute when a
-	// sibling is idle (0 → 10s).
-	MaxRetryAfter time.Duration
 	// Logf receives dispatch diagnostics (log.Printf-shaped; nil → off).
 	Logf func(format string, args ...any)
 }
@@ -108,15 +100,13 @@ func (w *worker) markUnhealthy(now time.Time) {
 // Pool is the coordinator's worker client pool. It is safe for
 // concurrent use by every sweep goroutine of the coordinating Service.
 type Pool struct {
-	workers          []*worker
-	client           *http.Client
-	token            string
-	store            *store.Store
-	stallTimeout     time.Duration
-	probeAfter       time.Duration
-	maxThrottleWaits int
-	maxRetryAfter    time.Duration
-	logf             func(string, ...any)
+	workers      []*worker
+	client       *http.Client
+	token        string
+	store        *store.Store
+	stallTimeout time.Duration
+	probeAfter   time.Duration
+	logf         func(string, ...any)
 
 	specMu    sync.Mutex
 	specJSON  map[string]json.RawMessage // spec hash → marshaled spec
@@ -127,6 +117,16 @@ type Pool struct {
 	throttled    *obs.CounterVec
 	shardSec     *obs.Histogram
 }
+
+// maxThrottleWaits bounds how many 429 Retry-After waits the pool
+// spends on one worker per shard before moving to the next candidate;
+// maxRetryAfter caps a single honored Retry-After delay, so one
+// overloaded worker cannot stall a shard for a minute when a sibling is
+// idle.
+const (
+	maxThrottleWaits = 4
+	maxRetryAfter    = 10 * time.Second
+)
 
 // maxCachedSpecs bounds the marshaled-spec cache like the service's
 // compiled-spec cache: arbitrary inline specs must not pin JSON forever.
@@ -143,26 +143,18 @@ func New(opts Options) (*Pool, error) {
 	if opts.ProbeAfter <= 0 {
 		opts.ProbeAfter = 5 * time.Second
 	}
-	if opts.MaxThrottleWaits <= 0 {
-		opts.MaxThrottleWaits = 4
-	}
-	if opts.MaxRetryAfter <= 0 {
-		opts.MaxRetryAfter = 10 * time.Second
-	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	p := &Pool{
-		client:           opts.Client,
-		token:            opts.Token,
-		store:            opts.Store,
-		stallTimeout:     opts.StallTimeout,
-		probeAfter:       opts.ProbeAfter,
-		maxThrottleWaits: opts.MaxThrottleWaits,
-		maxRetryAfter:    opts.MaxRetryAfter,
-		logf:             opts.Logf,
-		specJSON:         make(map[string]json.RawMessage),
+		client:       opts.Client,
+		token:        opts.Token,
+		store:        opts.Store,
+		stallTimeout: opts.StallTimeout,
+		probeAfter:   opts.ProbeAfter,
+		logf:         opts.Logf,
+		specJSON:     make(map[string]json.RawMessage),
 	}
 	seen := make(map[string]bool)
 	for _, u := range opts.Workers {
@@ -432,7 +424,7 @@ func (p *Pool) submit(ctx context.Context, w *worker, req service.RunRequest, bo
 			drainBody(resp)
 			throttles++
 			p.throttled.With(w.url).Inc()
-			if throttles > p.maxThrottleWaits {
+			if throttles > maxThrottleWaits {
 				return nil, fmt.Errorf("cluster: %s still saturated after %d Retry-After waits", w.url, throttles-1)
 			}
 			if err := sleepCtx(ctx, p.retryDelay(resp)); err != nil {
@@ -463,8 +455,8 @@ func (p *Pool) retryDelay(resp *http.Response) time.Duration {
 			d = time.Duration(sec) * time.Second
 		}
 	}
-	if d > p.maxRetryAfter {
-		d = p.maxRetryAfter
+	if d > maxRetryAfter {
+		d = maxRetryAfter
 	}
 	return time.Duration((0.8 + 0.4*rand.Float64()) * float64(d))
 }

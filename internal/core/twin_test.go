@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 	"time"
@@ -250,6 +251,29 @@ func TestNonFiniteHorizonRejected(t *testing.T) {
 		case <-time.After(deadline):
 			t.Fatalf("%s: not rejected within %v", tc.name, deadline)
 		}
+	}
+}
+
+// TestDeadlineHonouredInsideQuietGap: an idle horizon is one analytic
+// quiet gap under the event engine, so a deadline is only honoured if
+// the gap itself checks the context. 1e10 s is about 6.7e8 ticks.
+func TestDeadlineHonouredInsideQuietGap(t *testing.T) {
+	tw, err := NewFrontier()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = tw.RunContext(ctx, Scenario{
+		Workload: WorkloadIdle, HorizonSec: 1e10, TickSec: 15, NoExport: true, NoHistory: true,
+	})
+	elapsed := time.Since(start)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v after %v, want the deadline", err, elapsed)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("deadline of 100ms honoured only after %v", elapsed)
 	}
 }
 

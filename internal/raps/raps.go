@@ -482,9 +482,9 @@ func (s *Simulation) Run(horizonSec float64) (*Report, error) {
 }
 
 // RunContext is Run under a context: cancellation is observed at every
-// tick boundary, so an abort stops a running day within one tick (one
-// analytic gap at most under EngineEvent) instead of letting the horizon
-// play out. The context error is returned; partial accumulators remain
+// tick boundary, and every quietCheckTicks ticks inside an analytic gap
+// under EngineEvent, so an abort stops a running day promptly instead of
+// letting the horizon play out. The context error is returned; partial accumulators remain
 // inspectable through ReportNow and Now.
 func (s *Simulation) RunContext(ctx context.Context, horizonSec float64) (*Report, error) {
 	done := ctx.Done()
@@ -498,7 +498,9 @@ func (s *Simulation) RunContext(ctx context.Context, horizonSec float64) (*Repor
 			}
 		}
 		if k := s.skippableTicks(steps - i); k > 0 {
-			s.advanceQuiet(k)
+			if !s.advanceQuiet(done, k) {
+				return nil, ctx.Err()
+			}
 			i += k
 			continue
 		}
@@ -687,6 +689,11 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 	return k
 }
 
+// quietCheckTicks is how many analytic ticks advanceQuiet integrates
+// between cancellation checks: a non-blocking channel receive every
+// 4096 ticks is invisible next to the per-tick accumulator arithmetic.
+const quietCheckTicks = 4096
+
 // advanceQuiet integrates k event-free ticks. Power, utilization, and
 // job state are constant across the gap on every partition, so the
 // per-tick model sweep and scheduler pass are elided; the accumulator
@@ -694,7 +701,13 @@ func (s *Simulation) skippableTicks(maxTicks int) int {
 // dense path. History samples falling inside the gap are still recorded
 // at their exact times (from the cached power state), and a time-varying
 // emission intensity is still sampled every tick.
-func (s *Simulation) advanceQuiet(k int) {
+//
+// done is polled every quietCheckTicks ticks, because one gap can span
+// an arbitrarily long idle horizon. On cancellation the gap ends at the
+// tick reached and advanceQuiet reports false; an uncancelled gap is
+// integrated whole, so its per-partition and per-job energy sums are
+// the same floats as without the checks.
+func (s *Simulation) advanceQuiet(done <-chan struct{}, k int) bool {
 	dt := s.cfg.TickSec
 	a := s.aggregate()
 	p, loss, nodeOut := a.totalW, a.lossW(), a.nodeOutW
@@ -705,6 +718,7 @@ func (s *Simulation) advanceQuiet(k int) {
 	if s.plant != nil {
 		pue = s.plant.PUE()
 	}
+	cancelled := false
 	for i := 0; i < k; i++ {
 		s.now += dt
 		e := p * dt
@@ -727,6 +741,13 @@ func (s *Simulation) advanceQuiet(k int) {
 		}
 		s.ticks++
 		s.quietTicks++
+		if done != nil && i%quietCheckTicks == quietCheckTicks-1 {
+			select {
+			case <-done:
+				k, cancelled = i+1, true
+			default:
+			}
+		}
 	}
 	if p > s.maxPowerW {
 		s.maxPowerW = p
@@ -753,6 +774,7 @@ func (s *Simulation) advanceQuiet(k int) {
 			}
 		}
 	}
+	return !cancelled
 }
 
 // agg is the cross-partition power/scheduler aggregate. Every summation

@@ -194,22 +194,50 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, body)
 }
 
+// resolveSpec returns the inline spec when a request carries one, else
+// the built-in spec its spec_name selects ("frontier" default,
+// "setonix-like").
+func resolveSpec(inline *config.SystemSpec, name string) (config.SystemSpec, error) {
+	switch {
+	case inline != nil:
+		return *inline, nil
+	case name == "" || name == "frontier":
+		return config.Frontier(), nil
+	case name == "setonix-like":
+		return config.SetonixLike(), nil
+	}
+	return config.SystemSpec{}, fmt.Errorf("unknown spec_name %q", name)
+}
+
+// writeSubmitError answers a refused submission: 429 for a saturated
+// queue and 503 for a closed service, each with a Retry-After hint, and
+// 400 for anything else.
+func (s *Service) writeSubmitError(w http.ResponseWriter, err error) {
+	switch {
+	case errors.Is(err, ErrSaturated):
+		// Backpressure, not failure: tell the client when the queue is
+		// likely to have room again.
+		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
+		writeError(w, http.StatusTooManyRequests, err)
+	case errors.Is(err, ErrClosed):
+		// Draining, not gone: the hint is the remaining drain window,
+		// after which a restarted instance may be accepting again.
+		w.Header().Set("Retry-After", strconv.Itoa(s.closedRetryAfterSec()))
+		writeError(w, http.StatusServiceUnavailable, err)
+	default:
+		writeError(w, http.StatusBadRequest, err)
+	}
+}
+
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var spec config.SystemSpec
-	switch {
-	case req.Spec != nil:
-		spec = *req.Spec
-	case req.SpecName == "" || req.SpecName == "frontier":
-		spec = config.Frontier()
-	case req.SpecName == "setonix-like":
-		spec = config.SetonixLike()
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown spec_name %q", req.SpecName))
+	spec, err := resolveSpec(req.Spec, req.SpecName)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	scenarios := make([]core.Scenario, len(req.Scenarios))
@@ -229,20 +257,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Ephemeral:       req.Ephemeral,
 	})
 	if err != nil {
-		switch {
-		case errors.Is(err, ErrSaturated):
-			// Backpressure, not failure: tell the client when the queue
-			// is likely to have room again.
-			w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
-			writeError(w, http.StatusTooManyRequests, err)
-		case errors.Is(err, ErrClosed):
-			// Draining, not gone: the hint is the remaining drain window,
-			// after which a restarted instance may be accepting again.
-			w.Header().Set("Retry-After", strconv.Itoa(s.closedRetryAfterSec()))
-			writeError(w, http.StatusServiceUnavailable, err)
-		default:
-			writeError(w, http.StatusBadRequest, err)
-		}
+		s.writeSubmitError(w, err)
 		return
 	}
 	code := http.StatusAccepted
@@ -314,22 +329,16 @@ func (s *Service) handleResults(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStream writes one NDJSON ResultEntry per scenario as each
-// reaches a terminal state, flushing after every line, and returns once
-// the sweep finishes or the client disconnects — the live feed a
-// dashboard or CLI tails while a sweep works through the pool.
+// reaches a terminal state and returns once the sweep finishes — the
+// live feed a dashboard or CLI tails while a sweep works through the
+// pool.
 func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.sweepFor(w, r)
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
 	sent := make([]bool, len(sw.hashes))
-	for {
-		changed := sw.changed()
+	streamNDJSON(w, r, sw, func(enc *json.Encoder) (bool, error) {
 		st := sw.Status()
 		results := sw.Results()
 		for i, sc := range st.Scenarios {
@@ -337,19 +346,38 @@ func (s *Service) handleStream(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			if err := enc.Encode(resultEntry(sc, results[i])); err != nil {
-				return
+				return false, err
 			}
 			sent[i] = true
+		}
+		return st.Finished, nil
+	})
+}
+
+// streamNDJSON serves a sweep's or study's NDJSON feed: at every change
+// it calls emit, which writes the lines not yet sent and reports whether
+// the feed is complete, then flushes. It returns once emit reports
+// completion, a write fails, or the client disconnects.
+func streamNDJSON(w http.ResponseWriter, r *http.Request, j tracked, emit func(*json.Encoder) (bool, error)) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.WriteHeader(http.StatusOK)
+	flusher, _ := w.(http.Flusher)
+	enc := json.NewEncoder(w)
+	for {
+		changed := j.changed() // subscribe before emitting, so no change is missed
+		complete, err := emit(enc)
+		if err != nil {
+			return
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		if st.Finished {
+		if complete {
 			return
 		}
 		select {
 		case <-changed:
-		case <-sw.Done():
+		case <-j.Done():
 		case <-r.Context().Done():
 			return
 		}

@@ -10,8 +10,6 @@ package service
 // local pool or fan out to cluster workers.
 
 import (
-	"context"
-	cryptorand "crypto/rand"
 	"encoding/json"
 	"fmt"
 	"time"
@@ -20,19 +18,6 @@ import (
 	"exadigit/internal/core"
 	"exadigit/internal/store"
 )
-
-// newSweepID mints a collision-free sweep id: "sw-" + the submission
-// instant in hex nanoseconds + a random suffix. Unlike the old
-// process-local counter, ids from different processes (or the same
-// store directory across restarts) cannot collide — which the durable
-// journal requires, since a recovered sweep keeps its id. The alphabet
-// stays within what httpmw.RouteLabel normalizes and
-// store.ValidSweepID accepts.
-func newSweepID() string {
-	var b [4]byte
-	_, _ = cryptorand.Read(b[:])
-	return fmt.Sprintf("sw-%x-%x", time.Now().UnixNano(), b)
-}
 
 // journalSweep durably writes the sweep's manifest, arming per-scenario
 // record appends. No-ops without a store; degrades (log + journal_error
@@ -163,7 +148,7 @@ func (s *Service) Recover() (RecoverStats, error) {
 	for i := range entries {
 		e := &entries[i]
 		s.mu.Lock()
-		_, exists := s.sweeps[e.Manifest.ID]
+		_, exists := s.sweeps.get(e.Manifest.ID)
 		s.mu.Unlock()
 		if exists {
 			continue
@@ -191,45 +176,24 @@ func (s *Service) Recover() (RecoverStats, error) {
 // sweep: identity from the manifest, all bookkeeping slices sized, every
 // scenario initialized to the given state.
 func (s *Service) recoveredShell(m *store.SweepManifest, initial ScenarioState) *Sweep {
-	n := len(m.ScenarioHashes)
-	ctx, cancel := context.WithCancel(context.Background())
-	sw := &Sweep{
-		id:          m.ID,
-		name:        m.Name,
-		key:         m.Key,
-		recovered:   true,
-		specHash:    m.SpecHash,
-		createdAt:   time.Unix(0, m.CreatedUnixNano),
-		hashes:      append([]string(nil), m.ScenarioHashes...),
-		spans:       make([]spanState, n),
-		svc:         s,
-		timeout:     time.Duration(m.TimeoutSec * float64(time.Second)),
-		maxAttempts: m.MaxAttempts,
-		ctx:         ctx,
-		cancel:      cancel,
-		statuses:    make([]ScenarioStatus, n),
-		results:     make([]*core.Result, n),
-		notify:      make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	if sw.timeout <= 0 {
-		sw.timeout = s.scenarioTimeout
-	}
-	if sw.maxAttempts <= 0 {
-		sw.maxAttempts = s.maxAttempts
-	}
 	// Scenario names are display-only; pull them from the wire forms
 	// without requiring a decodable spec.
 	var reqs []ScenarioRequest
 	_ = json.Unmarshal(m.ScenariosJSON, &reqs)
-	for i := range sw.statuses {
-		name := ""
+	names := make([]string, len(m.ScenarioHashes))
+	for i := range names {
 		if i < len(reqs) {
-			if name = reqs[i].Name; name == "" {
-				name = reqs[i].Workload
+			if names[i] = reqs[i].Name; names[i] == "" {
+				names[i] = reqs[i].Workload
 			}
 		}
-		sw.statuses[i] = ScenarioStatus{Index: i, Name: name, Hash: m.ScenarioHashes[i], State: initial}
+	}
+	sw := s.newSweep(m.Name, m.Key, append([]string(nil), m.ScenarioHashes...), names,
+		time.Duration(m.TimeoutSec*float64(time.Second)), m.MaxAttempts)
+	sw.id, sw.specHash, sw.recovered = m.ID, m.SpecHash, true
+	sw.createdAt = time.Unix(0, m.CreatedUnixNano)
+	for i := range sw.statuses {
+		sw.statuses[i].State = initial
 	}
 	return sw
 }
@@ -248,17 +212,15 @@ func applyRecord(sw *Sweep, rec store.ScenarioRecord) {
 func (s *Service) registerRecovered(sw *Sweep) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, taken := s.sweeps[sw.id]; taken {
+	if _, taken := s.sweeps.get(sw.id); taken {
 		return fmt.Errorf("service: sweep id %s already registered", sw.id)
 	}
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
 	if sw.key != "" {
 		if _, bound := s.keys[sw.key]; !bound {
 			s.keys[sw.key] = sw.id
 		}
 	}
-	s.pruneLocked()
+	s.addSweepLocked(sw)
 	return nil
 }
 

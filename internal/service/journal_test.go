@@ -444,7 +444,7 @@ func TestHTTPClosedSendsRetryAfter(t *testing.T) {
 func TestNewSweepIDCollisionFree(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
-		id := newSweepID()
+		id := newID("sw")
 		if !strings.HasPrefix(id, "sw-") || !store.ValidSweepID(id) {
 			t.Fatalf("minted invalid sweep id %q", id)
 		}

@@ -2,13 +2,11 @@ package service
 
 import (
 	"context"
-	cryptorand "crypto/rand"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"exadigit/internal/config"
@@ -73,18 +71,11 @@ type Study struct {
 	cancel      context.CancelFunc
 	done        chan struct{}
 
-	mu       sync.Mutex
+	changes  // guards and broadcasts the fields below
 	state    StudyState
 	errMsg   string
 	progress []optimize.Progress
 	result   *optimize.StudyResult
-	notify   chan struct{} // closed and replaced on every state change
-}
-
-func newStudyID() string {
-	var b [4]byte
-	_, _ = cryptorand.Read(b[:])
-	return fmt.Sprintf("opt-%x-%x", time.Now().UnixNano(), b)
 }
 
 // ID returns the study's identifier.
@@ -142,22 +133,6 @@ func (st *Study) ProgressLog() []optimize.Progress {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([]optimize.Progress(nil), st.progress...)
-}
-
-// changed returns a channel closed at the next state change — the
-// broadcast primitive behind the streaming endpoint.
-func (st *Study) changed() <-chan struct{} {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.notify
-}
-
-func (st *Study) update(mutate func()) {
-	st.mu.Lock()
-	mutate()
-	close(st.notify)
-	st.notify = make(chan struct{})
-	st.mu.Unlock()
 }
 
 // registerOptimizeMetrics attaches the optimizer counters; called from
@@ -281,13 +256,12 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 	specHash := compiled.Hash()
 
 	st := &Study{
-		id:        newStudyID(),
+		id:        newID("opt"),
 		name:      opts.Name,
 		specHash:  specHash,
 		createdAt: time.Now(),
 		state:     StudyRunning,
 		done:      make(chan struct{}),
-		notify:    make(chan struct{}),
 	}
 
 	// Warm start: load the persisted surrogate fit for this exact
@@ -338,9 +312,7 @@ func (s *Service) SubmitStudy(spec config.SystemSpec, base core.Scenario, study 
 		cancel()
 		return nil, ErrClosed
 	}
-	s.studies[st.id] = st
-	s.studyOrder = append(s.studyOrder, st.id)
-	s.pruneStudiesLocked()
+	s.studies.add(st)
 	s.mu.Unlock()
 
 	go s.runStudy(ctx, st, drv, specHash, study)
@@ -378,86 +350,21 @@ func (s *Service) runStudy(ctx context.Context, st *Study, drv *optimize.Driver,
 	close(st.done)
 }
 
-// pruneStudiesLocked drops the oldest finished studies beyond the sweep
-// retention cap so a long-running server's study registry stays bounded.
-// Callers hold s.mu.
-func (s *Service) pruneStudiesLocked() {
-	excess := len(s.studyOrder) - s.maxSweeps
-	if excess <= 0 {
-		return
-	}
-	kept := s.studyOrder[:0]
-	for _, id := range s.studyOrder {
-		st := s.studies[id]
-		finished := false
-		if st != nil {
-			select {
-			case <-st.done:
-				finished = true
-			default:
-			}
-		}
-		if excess > 0 && (st == nil || finished) {
-			delete(s.studies, id)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.studyOrder = kept
-}
-
 // StudyByID resolves a study.
 func (s *Service) StudyByID(id string) (*Study, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, ok := s.studies[id]
-	return st, ok
+	return s.studies.get(id)
 }
 
 // ListStudies snapshots every retained study in submission order.
 func (s *Service) ListStudies() []StudyStatus {
 	s.mu.Lock()
-	ids := append([]string(nil), s.studyOrder...)
+	studies := s.studies.list()
 	s.mu.Unlock()
-	out := make([]StudyStatus, 0, len(ids))
-	for _, id := range ids {
-		if st, ok := s.StudyByID(id); ok {
-			out = append(out, st.Status())
-		}
+	out := make([]StudyStatus, len(studies))
+	for i, st := range studies {
+		out[i] = st.Status()
 	}
 	return out
-}
-
-// cancelAllStudies aborts every study (CancelAll's optimizer half).
-func (s *Service) cancelAllStudies() {
-	s.mu.Lock()
-	studies := make([]*Study, 0, len(s.studies))
-	for _, st := range s.studies {
-		studies = append(studies, st)
-	}
-	s.mu.Unlock()
-	for _, st := range studies {
-		st.Cancel()
-	}
-}
-
-// drainStudies blocks until every study reaches a terminal state or ctx
-// expires (Drain's optimizer half — after Close, a running study fails
-// fast at its next generation submission, so this converges).
-func (s *Service) drainStudies(ctx context.Context) error {
-	s.mu.Lock()
-	studies := make([]*Study, 0, len(s.studies))
-	for _, st := range s.studies {
-		studies = append(studies, st)
-	}
-	s.mu.Unlock()
-	for _, st := range studies {
-		select {
-		case <-st.done:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	return nil
 }

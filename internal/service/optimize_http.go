@@ -2,10 +2,8 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"exadigit/internal/config"
 	"exadigit/internal/optimize"
@@ -73,16 +71,9 @@ func (s *Service) handleOptimizeSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
 	}
-	var spec config.SystemSpec
-	switch {
-	case req.Spec != nil:
-		spec = *req.Spec
-	case req.SpecName == "" || req.SpecName == "frontier":
-		spec = config.Frontier()
-	case req.SpecName == "setonix-like":
-		spec = config.SetonixLike()
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("unknown spec_name %q", req.SpecName))
+	spec, err := resolveSpec(req.Spec, req.SpecName)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	baseReq := req.Base
@@ -95,12 +86,7 @@ func (s *Service) handleOptimizeSubmit(w http.ResponseWriter, r *http.Request) {
 		WarmStart: req.WarmStart,
 	})
 	if err != nil {
-		if errors.Is(err, ErrClosed) {
-			w.Header().Set("Retry-After", strconv.Itoa(s.closedRetryAfterSec()))
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, err)
+		s.writeSubmitError(w, err)
 		return
 	}
 	status := st.Status()
@@ -153,55 +139,29 @@ func (s *Service) handleOptimizeResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleOptimizeStream writes one NDJSON progress line per completed
-// generation, flushing after each, then a terminal line with the final
-// state (and the StudyResult when the study completed) — the live feed
-// a CLI tails while the optimizer works.
+// generation, then a terminal line with the final state (and the
+// StudyResult when the study completed) — the live feed a CLI tails
+// while the optimizer works.
 func (s *Service) handleOptimizeStream(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.studyFor(w, r)
 	if !ok {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-
 	sent := 0
-	for {
-		changed := st.changed()
+	streamNDJSON(w, r, st, func(enc *json.Encoder) (bool, error) {
+		// Progress only grows before done closes, so checking done first
+		// makes the snapshot below complete when the study is.
+		over := finished(st)
 		progress := st.ProgressLog()
 		for ; sent < len(progress); sent++ {
-			p := progress[sent]
-			if err := enc.Encode(optimizeStreamEntry{Progress: &p}); err != nil {
-				return
+			if err := enc.Encode(optimizeStreamEntry{Progress: &progress[sent]}); err != nil {
+				return false, err
 			}
 		}
-		if flusher != nil {
-			flusher.Flush()
+		if !over {
+			return false, nil
 		}
-		select {
-		case <-st.Done():
-			// Drain any progress emitted between the snapshot and done.
-			progress = st.ProgressLog()
-			for ; sent < len(progress); sent++ {
-				p := progress[sent]
-				if err := enc.Encode(optimizeStreamEntry{Progress: &p}); err != nil {
-					return
-				}
-			}
-			status := st.Status()
-			_ = enc.Encode(optimizeStreamEntry{
-				State:  status.State,
-				Error:  status.Error,
-				Result: st.Result(),
-			})
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+		status := st.Status()
+		return true, enc.Encode(optimizeStreamEntry{State: status.State, Error: status.Error, Result: st.Result()})
+	})
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
@@ -301,5 +302,52 @@ func TestStudyEvaluatorPerCandidateValidation(t *testing.T) {
 	}
 	if outs[1].Err != "" || outs[1].Report == nil {
 		t.Fatalf("valid candidate outcome: %+v", outs[1])
+	}
+}
+
+// TestStudyRetentionBounded: past MaxSweeps, the study registry drops
+// the oldest finished studies first and keeps running ones, however old.
+func TestStudyRetentionBounded(t *testing.T) {
+	svc := New(Options{Workers: 1, MaxSweeps: 2})
+	// Every twin evaluation blocks until its sweep is cancelled, so a
+	// study runs until it is cancelled.
+	svc.SetFaultInjector(&FaultInjector{BeforeRun: func(ctx context.Context, _ Fault) error {
+		<-ctx.Done()
+		return ctx.Err()
+	}})
+	defer svc.CancelAll()
+	submit := func() *Study {
+		st, err := svc.SubmitStudy(config.Frontier(), synthScenario(1, 900), quickStudy(), StudyOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	finish := func(st *Study) {
+		st.Cancel()
+		if s := waitStudy(t, st); s.State != StudyCancelled {
+			t.Fatalf("study %s state %s, want cancelled", st.ID(), s.State)
+		}
+	}
+	running := submit()
+	a := submit()
+	finish(a)
+	b := submit() // prunes a: the oldest finished, not the older running study
+	finish(b)
+	c := submit() // prunes b
+	var got []string
+	for _, st := range svc.ListStudies() {
+		got = append(got, st.ID)
+	}
+	if want := []string{running.ID(), c.ID()}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("retained studies %v, want %v", got, want)
+	}
+	for _, st := range []*Study{a, b} {
+		if _, ok := svc.StudyByID(st.ID()); ok {
+			t.Errorf("finished study %s retained past the bound", st.ID())
+		}
+	}
+	if st := running.Status(); st.State != StudyRunning {
+		t.Fatalf("running study state %s", st.State)
 	}
 }

@@ -6,6 +6,8 @@ package service
 // coordinator installs its worker client pool here, so the whole sweep
 // lifecycle (admission, single-flight, retries, spans, streaming) stays
 // in this package while the simulation itself happens on another node.
+// A coordinator takes no leases: the store's lease protocol runs on the
+// worker that computes the key.
 
 import (
 	"context"
@@ -87,9 +89,10 @@ func ScenarioRequestFrom(sc core.Scenario) (ScenarioRequest, error) {
 	return r, nil
 }
 
-// leaseOwnerID derives this service's cross-node lease identity:
-// host + pid disambiguate nodes and processes, the random suffix
-// disambiguates services within one process (tests run several).
+// leaseOwnerID derives the owner name this service's leases carry in the
+// store's lease protocol (store.GetOrLease): host + pid disambiguate
+// nodes and processes, the random suffix disambiguates services within
+// one process (tests run several).
 func leaseOwnerID() string {
 	host, err := os.Hostname()
 	if err != nil || host == "" {

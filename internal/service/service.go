@@ -7,6 +7,13 @@
 // deduplicates work through a content-addressed result cache keyed by
 // (spec hash, scenario hash), and exposes submit/status/cancel plus
 // streaming results over HTTP (http.go).
+//
+// Each scenario resolves through one chain (Sweep.resolve): the memory
+// cache's single-flight, then the durable store — a read, or, when
+// several services share a store directory, a lease and a wait for a
+// sibling's Put — then compute, then persist. The store owns the lease
+// protocol (store.GetOrLease); this package only releases the lease
+// after its Put.
 package service
 
 import (
@@ -76,9 +83,6 @@ type Options struct {
 	// Service.Registry(). One Service per registry: the service owns the
 	// exadigit_sweep_*/exadigit_cache_* family names it registers.
 	Registry *obs.Registry
-	// TraceCap bounds the per-scenario lifecycle span ring buffer served
-	// at /api/sweeps/trace (0 → 1024).
-	TraceCap int
 	// Runner, when non-nil, replaces local simulation as the compute
 	// tier: each cache-missing scenario is dispatched through it (the
 	// cluster coordinator installs its worker client pool here). The
@@ -91,31 +95,31 @@ type Options struct {
 	Runner ScenarioRunner
 	// LeaseTTL enables cross-node single-flight when several services
 	// share one Store directory: before computing a key locally, the
-	// service acquires a time-bounded lease on it and other nodes wait
-	// for the holder's Put instead of duplicating the run. Size it for
-	// the worst-case scenario compute; a holder renews every TTL/3, and
-	// a dead holder's lease is stolen after expiry. 0 disables leasing.
-	// Ignored when Runner is set — the coordinator must not lease before
-	// remote dispatch, or it would deadlock against the worker that
-	// leases the same key to compute it.
+	// service takes a time-bounded lease on it through
+	// store.GetOrLease, and other nodes wait for the holder's Put
+	// instead of duplicating the run. The store owns the protocol: a
+	// holder renews every TTL/3, and a dead holder's lease is stolen
+	// after expiry. Size it for the worst-case scenario compute. 0
+	// disables leasing. Ignored when Runner is set — the coordinator
+	// must not lease before remote dispatch, or it would deadlock
+	// against the worker that leases the same key to compute it.
 	LeaseTTL time.Duration
 }
 
 // Service is the sweep server. Create with New; it has no background
 // goroutines of its own until sweeps are submitted.
 type Service struct {
-	workers   int
-	maxSweeps int
-	slots     chan struct{} // global simulation-worker pool
-	cache     *resultCache
-	store     *store.Store   // durable tier; nil → memory-only
-	runner    ScenarioRunner // remote compute tier; nil → local pool
-	leaseTTL  time.Duration  // cross-node single-flight; 0 → no leasing
-	owner     string         // this service's lease identity
-	logf      httpmw.Logf
-	metrics   *httpmw.Metrics
-	reg       *obs.Registry
-	tracer    *obs.Tracer
+	workers  int
+	slots    chan struct{} // global simulation-worker pool
+	cache    *resultCache
+	store    *store.Store   // durable tier; nil → memory-only
+	runner   ScenarioRunner // remote compute tier; nil → local pool
+	leaseTTL time.Duration  // cross-node single-flight; 0 → no leasing
+	owner    string         // this service's lease identity
+	logf     httpmw.Logf
+	metrics  *httpmw.Metrics
+	reg      *obs.Registry
+	tracer   *obs.Tracer
 
 	// Failure-domain configuration (service-wide defaults; sweeps may
 	// override timeout and attempts).
@@ -157,14 +161,14 @@ type Service struct {
 	closed    bool
 	specs     map[string]*core.CompiledSpec // spec hash → shared compiled spec
 	specOrder []string                      // spec hashes, oldest first
-	sweeps    map[string]*Sweep
-	order     []string          // sweep ids in submission order
+	sweeps    registry[*Sweep]
 	keys      map[string]string // idempotency key → sweep id
-
-	// Optimization studies (optimize.go).
-	studies    map[string]*Study
-	studyOrder []string // study ids in submission order
+	studies   registry[*Study]  // optimization studies (optimize.go)
 }
+
+// traceCap bounds the per-scenario lifecycle span ring buffer served at
+// /api/sweeps/trace.
+const traceCap = 1024
 
 // maxCompiledSpecs bounds the compiled-spec cache: HTTP accepts
 // arbitrary inline specs, so distinct hashes must not pin models
@@ -198,13 +202,15 @@ func New(opts Options) *Service {
 	if opts.MaxPending <= 0 {
 		opts.MaxPending = 4096
 	}
+	if opts.Runner != nil {
+		opts.LeaseTTL = 0
+	}
 	reg := opts.Registry
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
 	s := &Service{
 		workers:         opts.Workers,
-		maxSweeps:       opts.MaxSweeps,
 		slots:           make(chan struct{}, opts.Workers),
 		cache:           newResultCache(opts.CacheCap, opts.CacheMaxBytes),
 		store:           opts.Store,
@@ -213,16 +219,16 @@ func New(opts Options) *Service {
 		owner:           leaseOwnerID(),
 		metrics:         &httpmw.Metrics{},
 		reg:             reg,
-		tracer:          obs.NewTracer(opts.TraceCap),
+		tracer:          obs.NewTracer(traceCap),
 		scenarioTimeout: opts.ScenarioTimeout,
 		maxAttempts:     opts.MaxAttempts,
 		retryBase:       opts.RetryBaseDelay,
 		retryMax:        opts.RetryMaxDelay,
 		maxPending:      opts.MaxPending,
 		specs:           make(map[string]*core.CompiledSpec),
-		sweeps:          make(map[string]*Sweep),
+		sweeps:          newRegistry[*Sweep](opts.MaxSweeps),
 		keys:            make(map[string]string),
-		studies:         make(map[string]*Study),
+		studies:         newRegistry[*Study](opts.MaxSweeps),
 	}
 	s.registerMetrics()
 	return s
@@ -274,7 +280,10 @@ func (s *Service) registerMetrics() {
 		})
 	reg.GaugeFunc("exadigit_cache_entries",
 		"Live result-cache entries.",
-		func() float64 { return float64(s.cache.len()) })
+		func() float64 {
+			_, entries, _, _ := s.cache.stats()
+			return float64(entries)
+		})
 	reg.GaugeFunc("exadigit_cache_bytes",
 		"Approximate resident size of cached results.",
 		func() float64 {
@@ -499,12 +508,11 @@ type Sweep struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	done   chan struct{} // closed when every scenario is terminal
 
-	mu       sync.Mutex
+	changes  // guards and broadcasts the fields below
 	statuses []ScenarioStatus
 	results  []*core.Result
-	notify   chan struct{} // closed and replaced on every state change
-	done     chan struct{} // closed when every scenario is terminal
 }
 
 // Cache tiers a scenario span reports (obs.Span.CacheTier).
@@ -608,9 +616,13 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	}
 	compileSec := time.Since(compileStart).Seconds()
 	hashes := make([]string, len(scenarios))
+	names := make([]string, len(scenarios))
 	for i, sc := range scenarios {
 		if hashes[i], err = HashScenario(sc); err != nil {
 			return nil, false, fmt.Errorf("service: scenario %d: %w", i, err)
+		}
+		if names[i] = sc.Name; names[i] == "" {
+			names[i] = string(sc.Workload)
 		}
 		// Per-partition workload lists must cover the spec's partitions,
 		// and replay — programmatic-only, never valid per partition — is
@@ -654,43 +666,9 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	if err := s.admit(len(scenarios)); err != nil {
 		return nil, false, err
 	}
-	timeout := opts.ScenarioTimeout
-	if timeout <= 0 {
-		timeout = s.scenarioTimeout
-	}
-	attempts := opts.MaxAttempts
-	if attempts <= 0 {
-		attempts = s.maxAttempts
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	sw = &Sweep{
-		name:        opts.Name,
-		key:         opts.Key,
-		spec:        spec,
-		specHash:    compiled.Hash(),
-		createdAt:   time.Now(),
-		compileSec:  compileSec,
-		compiled:    compiled,
-		scenarios:   scenarios,
-		hashes:      hashes,
-		spans:       make([]spanState, len(scenarios)),
-		svc:         s,
-		timeout:     timeout,
-		maxAttempts: attempts,
-		ctx:         ctx,
-		cancel:      cancel,
-		statuses:    make([]ScenarioStatus, len(scenarios)),
-		results:     make([]*core.Result, len(scenarios)),
-		notify:      make(chan struct{}),
-		done:        make(chan struct{}),
-	}
-	for i := range sw.statuses {
-		name := scenarios[i].Name
-		if name == "" {
-			name = string(scenarios[i].Workload)
-		}
-		sw.statuses[i] = ScenarioStatus{Index: i, Name: name, Hash: hashes[i], State: StateQueued}
-	}
+	sw = s.newSweep(opts.Name, opts.Key, hashes, names, opts.ScenarioTimeout, opts.MaxAttempts)
+	sw.spec, sw.specHash, sw.compiled, sw.scenarios = spec, compiled.Hash(), compiled, scenarios
+	sw.compileSec = compileSec
 
 	s.mu.Lock()
 	if opts.Key != "" {
@@ -699,27 +677,25 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 		// and here. Losing the race means undoing the admission without
 		// feeding the drain estimator (nothing completed).
 		if id, ok := s.keys[opts.Key]; ok {
-			if prev := s.sweeps[id]; prev != nil {
+			if prev, ok := s.sweeps.get(id); ok {
 				s.mu.Unlock()
 				s.pending.Add(-int64(len(scenarios)))
-				cancel()
+				sw.cancel()
 				s.idemHits.Inc()
 				return prev, true, nil
 			}
 		}
 	}
 	for {
-		sw.id = newSweepID()
-		if _, taken := s.sweeps[sw.id]; !taken {
+		sw.id = newID("sw")
+		if _, taken := s.sweeps.get(sw.id); !taken {
 			break
 		}
 	}
-	s.sweeps[sw.id] = sw
-	s.order = append(s.order, sw.id)
 	if opts.Key != "" {
 		s.keys[opts.Key] = sw.id
 	}
-	s.pruneLocked()
+	s.addSweepLocked(sw)
 	s.mu.Unlock()
 
 	// Durability point: the manifest must be on disk before any work is
@@ -729,6 +705,38 @@ func (s *Service) SubmitIdempotent(spec config.SystemSpec, scenarios []core.Scen
 	s.journalSweep(sw, opts)
 	go sw.run(opts.MaxConcurrent)
 	return sw, false, nil
+}
+
+// newSweep builds a sweep's bookkeeping: one queued status per scenario
+// hash, labelled by names. A timeout or attempt budget of 0 takes the
+// service default.
+func (s *Service) newSweep(name, key string, hashes, names []string, timeout time.Duration, attempts int) *Sweep {
+	if timeout <= 0 {
+		timeout = s.scenarioTimeout
+	}
+	if attempts <= 0 {
+		attempts = s.maxAttempts
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	sw := &Sweep{
+		name:        name,
+		key:         key,
+		createdAt:   time.Now(),
+		hashes:      hashes,
+		spans:       make([]spanState, len(hashes)),
+		svc:         s,
+		timeout:     timeout,
+		maxAttempts: attempts,
+		ctx:         ctx,
+		cancel:      cancel,
+		done:        make(chan struct{}),
+		statuses:    make([]ScenarioStatus, len(hashes)),
+		results:     make([]*core.Result, len(hashes)),
+	}
+	for i := range sw.statuses {
+		sw.statuses[i] = ScenarioStatus{Index: i, Name: names[i], Hash: hashes[i], State: StateQueued}
+	}
+	return sw
 }
 
 // sweepForKey resolves an idempotency key to its live sweep.
@@ -742,53 +750,31 @@ func (s *Service) sweepForKey(key string) (*Sweep, bool) {
 	if !ok {
 		return nil, false
 	}
-	sw, ok := s.sweeps[id]
+	sw, ok := s.sweeps.get(id)
 	if ok {
 		s.idemHits.Inc()
 	}
 	return sw, ok
 }
 
-// pruneLocked drops the oldest finished sweeps beyond the retention cap
-// so the registry (and the results each sweep pins) stays bounded.
-// Callers hold s.mu.
-func (s *Service) pruneLocked() {
-	excess := len(s.order) - s.maxSweeps
-	if excess <= 0 {
-		return
+// addSweepLocked registers sw, forgetting the finished sweeps the
+// registry prunes to make room. Callers hold s.mu.
+func (s *Service) addSweepLocked(sw *Sweep) {
+	for _, old := range s.sweeps.add(sw) {
+		s.forgetLocked(old)
 	}
-	kept := s.order[:0]
-	for _, id := range s.order {
-		sw := s.sweeps[id]
-		finished := false
-		if sw != nil {
-			select {
-			case <-sw.done:
-				finished = true
-			default:
-			}
-		}
-		if excess > 0 && (sw == nil || finished) {
-			delete(s.sweeps, id)
-			s.forgetLocked(id, sw)
-			excess--
-			continue
-		}
-		kept = append(kept, id)
-	}
-	s.order = kept
 }
 
 // forgetLocked releases a dropped sweep's registry side state: its
 // idempotency-key binding and its durable journal (a pruned sweep must
 // not be re-adopted at the next restart). Callers hold s.mu.
-func (s *Service) forgetLocked(id string, sw *Sweep) {
-	if sw != nil && sw.key != "" && s.keys[sw.key] == id {
+func (s *Service) forgetLocked(sw *Sweep) {
+	if sw.key != "" && s.keys[sw.key] == sw.id {
 		delete(s.keys, sw.key)
 	}
 	if s.store != nil {
-		if err := s.store.RemoveJournal(id); err != nil && s.logf != nil {
-			s.logf("service: sweep %s journal remove: %v", id, err)
+		if err := s.store.RemoveJournal(sw.id); err != nil && s.logf != nil {
+			s.logf("service: sweep %s journal remove: %v", sw.id, err)
 		}
 	}
 }
@@ -863,44 +849,44 @@ func (s *Service) closedRetryAfterSec() int {
 	return sec
 }
 
-// Drain blocks until every submitted sweep reaches a terminal state or
-// ctx expires — the shutdown step that lets in-flight sweeps finish (and
-// streaming clients receive their final lines) before the HTTP server
-// goes away. Call Close first so the set of sweeps being waited on
-// cannot grow.
+// Drain blocks until every submitted sweep and study reaches a terminal
+// state or ctx expires — the shutdown step that lets in-flight work
+// finish (and streaming clients receive their final lines) before the
+// HTTP server goes away. Call Close first so the set being waited on
+// cannot grow; a study then fails fast at its next generation
+// submission, so this converges too.
 func (s *Service) Drain(ctx context.Context) error {
-	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
-	}
-	s.mu.Unlock()
-	for _, sw := range sweeps {
+	for _, j := range s.jobs() {
 		select {
-		case <-sw.done:
+		case <-j.Done():
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-	// Studies fail fast once the service is closed (their next
-	// generation submission refuses), so this converges too.
-	return s.drainStudies(ctx)
+	return nil
 }
 
-// CancelAll aborts every sweep — the impatient half of shutdown (second
-// SIGINT): queued scenarios become cancelled and running simulations
-// stop at their next tick boundary.
+// CancelAll aborts every sweep and study — the impatient half of
+// shutdown (second SIGINT): queued scenarios become cancelled and
+// running simulations stop at their next tick boundary.
 func (s *Service) CancelAll() {
+	for _, j := range s.jobs() {
+		j.Cancel()
+	}
+}
+
+// jobs snapshots every registered sweep, then every study.
+func (s *Service) jobs() []tracked {
 	s.mu.Lock()
-	sweeps := make([]*Sweep, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		sweeps = append(sweeps, sw)
+	defer s.mu.Unlock()
+	var out []tracked
+	for _, sw := range s.sweeps.list() {
+		out = append(out, sw)
 	}
-	s.mu.Unlock()
-	for _, sw := range sweeps {
-		sw.Cancel()
+	for _, st := range s.studies.list() {
+		out = append(out, st)
 	}
-	s.cancelAllStudies()
+	return out
 }
 
 // Remove drops a finished sweep from the registry, releasing the
@@ -911,20 +897,12 @@ func (s *Service) Remove(id string) error {
 	if !ok {
 		return fmt.Errorf("service: no sweep %q", id)
 	}
-	select {
-	case <-sw.done:
-	default:
+	if !finished(sw) {
 		return fmt.Errorf("service: sweep %q still running; cancel it first", id)
 	}
 	s.mu.Lock()
-	delete(s.sweeps, id)
-	s.forgetLocked(id, sw)
-	for i, oid := range s.order {
-		if oid == id {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
+	s.sweeps.remove(id)
+	s.forgetLocked(sw)
 	s.mu.Unlock()
 	return nil
 }
@@ -933,23 +911,19 @@ func (s *Service) Remove(id string) error {
 func (s *Service) Sweep(id string) (*Sweep, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	return sw, ok
+	return s.sweeps.get(id)
 }
 
 // List snapshots every sweep in submission order (summary form, without
 // per-scenario detail).
 func (s *Service) List() []SweepStatus {
 	s.mu.Lock()
-	ids := append([]string(nil), s.order...)
+	sweeps := s.sweeps.list()
 	s.mu.Unlock()
-	out := make([]SweepStatus, 0, len(ids))
-	for _, id := range ids {
-		if sw, ok := s.Sweep(id); ok {
-			st := sw.Status()
-			st.Scenarios = nil
-			out = append(out, st)
-		}
+	out := make([]SweepStatus, len(sweeps))
+	for i, sw := range sweeps {
+		out[i] = sw.Status()
+		out[i].Scenarios = nil
 	}
 	return out
 }
@@ -1064,22 +1038,6 @@ func (sw *Sweep) loadRecoveredLocked() {
 	}
 }
 
-// changed returns a channel closed at the next state change — the
-// broadcast primitive behind the streaming endpoints.
-func (sw *Sweep) changed() <-chan struct{} {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.notify
-}
-
-func (sw *Sweep) update(mutate func()) {
-	sw.mu.Lock()
-	mutate()
-	close(sw.notify)
-	sw.notify = make(chan struct{})
-	sw.mu.Unlock()
-}
-
 // run drives the sweep: spawn one bounded goroutine per scenario, each
 // gated by the per-sweep limit and the service-wide worker pool.
 func (sw *Sweep) run(maxConcurrent int) {
@@ -1160,43 +1118,120 @@ loop:
 	close(sw.done)
 }
 
-// runOne resolves one scenario through the cache or the simulator.
+// runOne resolves scenario i and records the outcome — exactly once per
+// dispatched scenario.
 func (sw *Sweep) runOne(i int) {
+	res, tier, err := sw.resolve(i)
+	sw.record(i, res, err, tier)
+}
+
+// resolve runs scenario i through the one resolution chain: the memory
+// tier's single-flight, then — for the key's leader only — the durable
+// store (a read, or a lease and a wait for a sibling node's Put), then
+// compute, then persist. Because only the leader reaches the store, N
+// concurrent submissions of one scenario cost at most one disk read plus
+// one simulation, and with a shared store and a LeaseTTL the
+// single-flight extends across nodes. It returns the result, the tier
+// that served it, and the scenario's error.
+func (sw *Sweep) resolve(i int) (*core.Result, string, error) {
 	if sw.scenarios[i].TelemetryTo != nil {
-		// Streaming scenarios bypass the cache entirely: serving a hit
-		// (or waiting on another submitter's run) would silently skip
-		// the writer side effect the caller asked for.
-		sw.runDirect(i)
-		return
+		// Streaming scenarios bypass every tier: serving a hit (or
+		// waiting on another submitter's run) would silently skip the
+		// writer side effect the caller asked for.
+		return sw.compute(i)
 	}
 	key := sw.specHash + ":" + sw.hashes[i]
-	for {
-		entry, leader := sw.svc.cache.acquire(key)
-		if leader {
-			sw.lead(i, key, entry)
-			return
-		}
+	entry, leader := sw.svc.cache.acquire(key)
+	for !leader {
 		// Someone else — possibly a concurrently submitted duplicate —
-		// is simulating this exact (spec, scenario); wait for it.
+		// is resolving this exact (spec, scenario); wait for it.
 		select {
 		case <-entry.done:
 		case <-sw.ctx.Done():
-			sw.record(i, nil, sw.ctx.Err(), tierNone)
-			return
+			return nil, tierNone, sw.ctx.Err()
 		}
-		if errors.Is(entry.err, errAbandoned) {
-			continue // leader cancelled before running; take over
-		}
-		if entry.err != nil {
+		switch {
+		case errors.Is(entry.err, errAbandoned):
+			// The leader was cancelled before producing a result; take over.
+			entry, leader = sw.svc.cache.acquire(key)
+		case entry.err != nil:
 			// The leader simulated and failed; failures are not cached
-			// (complete() dropped the entry), so this is not a hit.
-			sw.record(i, nil, entry.err, tierNone)
-			return
+			// (complete dropped the entry), so this is not a hit.
+			return nil, tierNone, entry.err
+		default:
+			sw.svc.hits.Inc()
+			return entry.res, tierMemory, nil
 		}
-		sw.svc.hits.Inc()
-		sw.record(i, entry.res, nil, tierMemory)
-		return
 	}
+	res, tier, lease, err := sw.lead(i)
+	published := err
+	if errors.Is(err, context.Canceled) {
+		// This sweep's cancel stopped the leader (before a slot, while
+		// waiting on a lease, or mid-day): release the key so another
+		// submitter can take over, rather than publishing the
+		// cancellation to unrelated waiters.
+		published = errAbandoned
+	}
+	sw.svc.cache.complete(key, entry, res, published)
+	if tier == tierCompute && sw.svc.store != nil && sw.svc.runner == nil {
+		// Persist after publishing so waiters are never delayed by disk
+		// I/O. A failed Put is an observability event (store put_errors),
+		// not a scenario failure — the result is already served from
+		// memory. Skipped in coordinator mode: the worker that computed
+		// the result persists it, so a shared store counts each key once.
+		putStart := time.Now()
+		perr := sw.svc.store.Put(sw.specHash, sw.hashes[i], res)
+		sw.spans[i].setStoreSec(time.Since(putStart).Seconds())
+		if perr != nil && sw.svc.logf != nil {
+			sw.svc.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[i], perr)
+		}
+	}
+	if lease != nil {
+		// Only after the Put: a waiter that sees the lease go away must
+		// find the result on its next store read.
+		lease.Release()
+	}
+	return res, tier, err
+}
+
+// lead resolves the key's leader through the durable store — a
+// restart-surviving hit costs one file read and zero model builds — and
+// computes on a miss. The lease it returns, if any, is released by the
+// caller after the Put.
+func (sw *Sweep) lead(i int) (*core.Result, string, *store.Lease, error) {
+	var lease *store.Lease
+	if st := sw.svc.store; st != nil {
+		// A corrupt entry reads as a miss; the recomputed result
+		// re-persists, healing it.
+		res, l, err := st.GetOrLease(sw.ctx, sw.specHash, sw.hashes[i], sw.svc.owner, sw.svc.leaseTTL)
+		switch {
+		case res != nil:
+			sw.svc.hits.Inc()
+			return res, tierDisk, nil, nil
+		case sw.ctx.Err() != nil:
+			if l != nil {
+				l.Release()
+			}
+			return nil, tierNone, nil, sw.ctx.Err()
+		case err != nil:
+			if sw.svc.logf != nil {
+				sw.svc.logf("service: lease %s/%s: %v (computing without lease)",
+					sw.specHash, sw.hashes[i], err)
+			}
+		}
+		lease = l
+	}
+	res, tier, err := sw.compute(i)
+	return res, tier, lease, err
+}
+
+// compute simulates scenario i (see simulate) and names the tier.
+func (sw *Sweep) compute(i int) (*core.Result, string, error) {
+	res, err := sw.simulate(i)
+	if err != nil {
+		return nil, tierNone, err
+	}
+	return res, tierCompute, nil
 }
 
 // errAbandoned marks a cache entry whose leader was cancelled before
@@ -1208,44 +1243,42 @@ var errAbandoned = errors.New("service: scenario abandoned by cancelled sweep")
 // recovered panics, deadline overruns, simulation errors — retry with
 // capped exponential backoff + jitter up to the sweep's attempt budget,
 // and what survives is wrapped in a *ScenarioError so callers see the
-// scenario's identity, attempt count, and cause. Sweep cancellation is
-// never retried; ran is false when the sweep was cancelled before a pool
-// slot freed.
-func (sw *Sweep) simulate(i int) (res *core.Result, ran bool, err error) {
+// scenario's identity, attempt count, and cause. Sweep cancellation —
+// before a pool slot freed or mid-attempt — is never retried and is
+// reported as the sweep context's error.
+func (sw *Sweep) simulate(i int) (*core.Result, error) {
 	for attempt := 1; ; attempt++ {
-		res, ran, err = sw.attempt(i, attempt)
-		if err == nil || !ran {
-			return res, ran, err
+		res, err := sw.attempt(i, attempt)
+		if err == nil {
+			return res, nil
 		}
 		if sw.ctx.Err() != nil {
-			// The sweep itself was cancelled (possibly mid-attempt);
-			// report the cancellation, not the attempt's error.
-			return nil, ran, sw.ctx.Err()
+			// Report the cancellation, not the attempt's error.
+			return nil, sw.ctx.Err()
 		}
 		if attempt >= sw.maxAttempts {
-			return nil, true, &ScenarioError{
+			return nil, &ScenarioError{
 				ScenarioHash: sw.hashes[i], Index: i, Attempts: attempt, Cause: err,
 			}
 		}
 		sw.svc.retries.Inc()
 		if !sleepBackoff(sw.ctx, sw.svc.retryBase, sw.svc.retryMax, attempt) {
-			return nil, true, sw.ctx.Err()
+			return nil, sw.ctx.Err()
 		}
 	}
 }
 
-// attempt acquires a pool slot and runs scenario i once — the single run
-// sequence shared by the cached and direct paths. The sweep context is
+// attempt acquires a pool slot and runs scenario i once. The sweep context is
 // threaded through the run, so a cancel aborts an in-flight simulation
 // at its next tick boundary (mid-day); the per-attempt deadline, when
 // configured, is layered on top and reported as a timeout rather than a
 // cancellation.
-func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error) {
+func (sw *Sweep) attempt(i, attempt int) (res *core.Result, err error) {
 	waitStart := time.Now()
 	select {
 	case sw.svc.slots <- struct{}{}:
 	case <-sw.ctx.Done():
-		return nil, false, sw.ctx.Err()
+		return nil, sw.ctx.Err()
 	}
 	defer func() { <-sw.svc.slots }()
 	waitSec := time.Since(waitStart).Seconds()
@@ -1295,184 +1328,7 @@ func (sw *Sweep) attempt(i, attempt int) (res *core.Result, ran bool, err error)
 		span.Error = err.Error()
 	}
 	sw.spans[i].addAttempt(span)
-	return res, true, err
-}
-
-// runDirect simulates the scenario without cache participation (used
-// when the scenario carries runtime side effects a cached result could
-// not reproduce).
-func (sw *Sweep) runDirect(i int) {
-	res, _, err := sw.simulate(i)
-	tier := tierCompute
-	if err != nil {
-		tier = tierNone
-	}
-	sw.record(i, res, err, tier)
-}
-
-// lead resolves the scenario for every waiter on its cache key: disk
-// first (the durable tier — a restart-surviving hit costs one file read
-// and zero model builds), then simulation. Because only the key's leader
-// reaches the store, single-flight semantics extend across all three
-// tiers: N concurrent submissions of one scenario cost at most one disk
-// read plus one simulation. With a shared store and a LeaseTTL, the
-// single-flight extends across nodes too: the leader leases the key
-// before computing locally, so of N services sharing the directory only
-// one simulates while the others poll for its Put.
-func (sw *Sweep) lead(i int, key string, entry *cacheEntry) {
-	st := sw.svc.store
-	if st != nil && sw.ctx.Err() == nil {
-		if res, err := st.Get(sw.specHash, sw.hashes[i]); err == nil {
-			sw.svc.hits.Inc()
-			sw.svc.cache.complete(key, entry, res, nil)
-			sw.record(i, res, nil, tierDisk)
-			return
-		}
-		// ErrNotFound and ErrCorrupt (quarantined) both mean compute; the
-		// recomputed result re-persists below, healing corrupt entries.
-	}
-	// Cross-node single-flight, local compute only: a coordinator never
-	// leases before remote dispatch (the worker that computes the key
-	// takes the lease; a coordinator holding it would deadlock them).
-	var lease *store.Lease
-	if st != nil && sw.svc.leaseTTL > 0 && sw.svc.runner == nil {
-		var res *core.Result
-		var err error
-		lease, res, err = sw.waitLease(i)
-		if res != nil {
-			// Another node computed and persisted the key while we waited.
-			sw.svc.hits.Inc()
-			sw.svc.cache.complete(key, entry, res, nil)
-			sw.record(i, res, nil, tierDisk)
-			return
-		}
-		if err != nil {
-			sw.svc.cache.complete(key, entry, nil, errAbandoned)
-			sw.record(i, nil, err, tierNone)
-			return
-		}
-	}
-	var stopRenew chan struct{}
-	if lease != nil {
-		stopRenew = make(chan struct{})
-		go sw.renewLease(lease, stopRenew)
-	}
-	res, ran, err := sw.simulate(i)
-	if stopRenew != nil {
-		close(stopRenew)
-	}
-	if !ran || errors.Is(err, context.Canceled) {
-		// Never got a slot, or this sweep's cancel aborted the run
-		// mid-day: release the key so another submitter can take over,
-		// rather than publishing the cancellation to unrelated waiters.
-		if lease != nil {
-			lease.Release()
-		}
-		sw.svc.cache.complete(key, entry, nil, errAbandoned)
-		sw.record(i, nil, err, tierNone)
-		return
-	}
-	sw.svc.cache.complete(key, entry, res, err)
-	if err == nil {
-		if st != nil && sw.svc.runner == nil {
-			// Persist after publishing so waiters are never delayed by
-			// disk I/O. A failed Put is an observability event (store
-			// put_errors), not a scenario failure — the result is already
-			// served from memory. Skipped in coordinator mode: the worker
-			// that computed the result persists it, so a shared store
-			// counts each key exactly once.
-			putStart := time.Now()
-			perr := st.Put(sw.specHash, sw.hashes[i], res)
-			sw.spans[i].setStoreSec(time.Since(putStart).Seconds())
-			if perr != nil && sw.svc.logf != nil {
-				sw.svc.logf("service: store put %s/%s: %v", sw.specHash, sw.hashes[i], perr)
-			}
-		}
-	}
-	if lease != nil {
-		// Release only after the Put: a waiter that sees the lease go
-		// away must find the result on its next store poll.
-		lease.Release()
-	}
-	tier := tierCompute
-	if err != nil {
-		tier = tierNone
-	}
-	sw.record(i, res, err, tier)
-}
-
-// waitLease acquires the cross-node lease for scenario i, waiting out
-// (and polling the store under) any other node's live lease. It returns
-// exactly one of: a held lease (compute locally), a result another node
-// persisted while we waited, or an error (the sweep was cancelled). All
-// nil means lease I/O failed — fail open and compute without one; the
-// worst case is a duplicate compute, never a stuck scenario.
-func (sw *Sweep) waitLease(i int) (*store.Lease, *core.Result, error) {
-	st := sw.svc.store
-	ttl := sw.svc.leaseTTL
-	poll := ttl / 10
-	if poll < 50*time.Millisecond {
-		poll = 50 * time.Millisecond
-	}
-	if poll > time.Second {
-		poll = time.Second
-	}
-	for {
-		lease, err := st.AcquireLease(sw.specHash, sw.hashes[i], sw.svc.owner, ttl)
-		if err == nil {
-			// Re-check the store before computing: the previous holder may
-			// have Put between our miss and this acquire.
-			if res, gerr := st.Get(sw.specHash, sw.hashes[i]); gerr == nil {
-				lease.Release()
-				return nil, res, nil
-			}
-			return lease, nil, nil
-		}
-		if !errors.Is(err, store.ErrLeaseHeld) {
-			if sw.svc.logf != nil {
-				sw.svc.logf("service: lease %s/%s: %v (computing without lease)",
-					sw.specHash, sw.hashes[i], err)
-			}
-			return nil, nil, nil
-		}
-		t := time.NewTimer(poll)
-		select {
-		case <-t.C:
-		case <-sw.ctx.Done():
-			t.Stop()
-			return nil, nil, sw.ctx.Err()
-		}
-		t.Stop()
-		if res, gerr := st.Get(sw.specHash, sw.hashes[i]); gerr == nil {
-			return nil, res, nil
-		}
-	}
-}
-
-// renewLease extends the held lease every TTL/3 until stop closes. A
-// failed renew means a holder that overran its TTL lost the lease to a
-// stealer; the compute still finishes and publishes (Puts are atomic and
-// idempotent) — the stealer's duplicate run is the documented
-// degradation mode, so the renewer just stops.
-func (sw *Sweep) renewLease(l *store.Lease, stop <-chan struct{}) {
-	interval := sw.svc.leaseTTL / 3
-	if interval <= 0 {
-		interval = time.Second
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-sw.ctx.Done():
-			return
-		case <-t.C:
-			if err := l.Renew(sw.svc.leaseTTL); err != nil {
-				return
-			}
-		}
-	}
+	return res, err
 }
 
 // record finalizes one scenario's status, returns its queue
@@ -1577,12 +1433,6 @@ func approxResultBytes(res *core.Result) int64 {
 		}
 	}
 	return n
-}
-
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // acquire returns the entry for key and whether the caller leads its

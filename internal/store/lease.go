@@ -19,15 +19,22 @@ package store
 // holder per key at a time, modulo clock skew and holders paused past
 // their TTL"; a violated lease degrades to a duplicate compute (both
 // results are bit-identical and Puts are atomic), never to corruption.
+//
+// GetOrLease is the whole protocol for a node about to compute a key;
+// AcquireLease, Renew and Release are its parts.
 
 import (
+	"context"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"time"
+
+	"exadigit/internal/core"
 )
 
 // ErrLeaseHeld reports that another live owner holds the key's lease.
@@ -59,12 +66,93 @@ func (r leaseRecord) expired(now time.Time) bool {
 }
 
 // Lease is a held lease on one (spec hash, scenario hash) key. Release
-// it after the result is durably Put; Renew it periodically (every
-// TTL/3 is customary) while a long compute is in flight.
+// it after the result is durably Put. A lease from GetOrLease renews
+// itself every TTL/3 until Release; one from AcquireLease must be
+// renewed by its holder while a long compute is in flight.
 type Lease struct {
 	s     *Store
 	path  string
 	owner string
+
+	stopOnce sync.Once
+	stop     chan struct{} // closed by Release; nil when not self-renewing
+	renewed  chan struct{} // closed once the renewer has exited
+}
+
+// GetOrLease resolves (specHash, scenHash) for a caller about to compute
+// it. It returns exactly one of:
+//
+//   - the stored result: a hit, or a sibling's Put found while waiting
+//     or right after acquiring (the previous holder may have Put between
+//     the miss and the claim);
+//   - a held lease when ttl > 0, renewing itself every ttl/3 until
+//     Release: compute, Put, then Release, in that order, so a waiter
+//     that sees the lease go away finds the result on its next read;
+//   - neither, when ttl is 0 or lease I/O fails: compute without a
+//     lease. The I/O error is returned for the caller to log; failing
+//     open costs at most a duplicate compute, never a stuck scenario;
+//   - ctx's error, when ctx ends first.
+//
+// While another live owner holds the lease, the store is read every
+// ttl/10, clamped to 50 ms–1 s, for that owner's Put.
+func (s *Store) GetOrLease(ctx context.Context, specHash, scenHash, owner string, ttl time.Duration) (*core.Result, *Lease, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if res, err := s.Get(specHash, scenHash); err == nil {
+		return res, nil, nil
+	}
+	if ttl <= 0 {
+		return nil, nil, nil
+	}
+	poll := min(max(ttl/10, 50*time.Millisecond), time.Second)
+	for {
+		l, err := s.AcquireLease(specHash, scenHash, owner, ttl)
+		if err == nil {
+			if res, gerr := s.Get(specHash, scenHash); gerr == nil {
+				l.Release()
+				return res, nil, nil
+			}
+			l.renewEvery(ttl)
+			return nil, l, nil
+		}
+		if !errors.Is(err, ErrLeaseHeld) {
+			return nil, nil, err
+		}
+		t := time.NewTimer(poll)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
+			return nil, nil, ctx.Err()
+		}
+		if res, gerr := s.Get(specHash, scenHash); gerr == nil {
+			return res, nil, nil
+		}
+	}
+}
+
+// renewEvery starts the goroutine that renews l every ttl/3 until
+// Release. A failed renew means the holder overran its TTL and lost the
+// lease to a stealer; the compute still finishes and publishes (Puts
+// are atomic and idempotent), so the renewer just stops.
+func (l *Lease) renewEvery(ttl time.Duration) {
+	l.stop, l.renewed = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(l.renewed)
+		t := time.NewTicker(max(ttl/3, time.Millisecond))
+		defer t.Stop()
+		for {
+			select {
+			case <-l.stop:
+				return
+			case <-t.C:
+				if l.Renew(ttl) != nil {
+					return
+				}
+			}
+		}
+	}()
 }
 
 // Holder identifies a lease's current owner to a refused acquirer.
@@ -161,10 +249,17 @@ func (l *Lease) Renew(ttl time.Duration) error {
 	return overwriteLease(l.path, l.owner, ttl)
 }
 
-// Release removes the lease if this owner still holds it. Safe to call
-// after a failed Renew or on an already-stolen lease (it never removes
-// another owner's lease).
+// Release stops the lease's renewer, if any, and removes the lease if
+// this owner still holds it. Safe to call repeatedly, after a failed
+// Renew, or on an already-stolen lease (it never removes another
+// owner's lease).
 func (l *Lease) Release() {
+	if l.stop != nil {
+		// Wait out the renewer, so no renew write lands after the remove
+		// and resurrects the lease.
+		l.stopOnce.Do(func() { close(l.stop) })
+		<-l.renewed
+	}
 	rec, err := readLease(l.path)
 	if err != nil || rec.Owner != l.owner {
 		return

@@ -1,11 +1,16 @@
 package store
 
 import (
+	"context"
 	"errors"
 	"os"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"exadigit/internal/core"
 )
 
 const (
@@ -136,4 +141,81 @@ func TestOpenSweepsStaleLeases(t *testing.T) {
 		t.Fatalf("live lease was swept: %v", err)
 	}
 	_ = s2
+}
+
+// TestGetOrLeaseProtocol pins the one-call lease protocol: a waiter is
+// served the holder's Put, a renewing holder keeps its lease past one
+// TTL, an expired holder's lease is stolen, and a waiter's context ends
+// its wait.
+func TestGetOrLeaseProtocol(t *testing.T) {
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	const ttl = 300 * time.Millisecond
+	res, holder, err := s.GetOrLease(ctx, leaseSpec, leaseScen, "holder", ttl)
+	if res != nil || holder == nil || err != nil {
+		t.Fatalf("first caller got (%v, %v, %v), want the lease", res, holder, err)
+	}
+
+	type outcome struct {
+		res   *core.Result
+		lease *Lease
+		err   error
+	}
+	waiter := make(chan outcome, 1)
+	go func() {
+		r, l, err := s.GetOrLease(ctx, leaseSpec, leaseScen, "waiter", ttl)
+		waiter <- outcome{r, l, err}
+	}()
+	// Two TTLs: only the holder's renewal keeps its lease live this long.
+	time.Sleep(2 * ttl)
+	select {
+	case o := <-waiter:
+		t.Fatalf("waiter returned %+v while the holder was computing", o)
+	default:
+	}
+	if m := s.Stats(); m.LeaseSteals != 0 {
+		t.Fatalf("renewed lease was stolen: %+v", m)
+	}
+	want := sampleResult()
+	if err := s.Put(leaseSpec, leaseScen, want); err != nil {
+		t.Fatal(err)
+	}
+	holder.Release()
+	select {
+	case o := <-waiter:
+		if o.err != nil || o.lease != nil || o.res == nil {
+			t.Fatalf("waiter got (%v, %v, %v), want the holder's result", o.res, o.lease, o.err)
+		}
+		if !reflect.DeepEqual(o.res.Report, want.Report) {
+			t.Fatalf("waiter served %+v, want %+v", o.res.Report, want.Report)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("waiter never saw the holder's Put")
+	}
+
+	// A holder that stops renewing (AcquireLease alone) loses the key
+	// once its TTL passes.
+	scen := strings.Repeat("c", 64)
+	if _, err := s.AcquireLease(leaseSpec, scen, "dead", 20*time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	res, stolen, err := s.GetOrLease(ctx, leaseSpec, scen, "survivor", ttl)
+	if res != nil || stolen == nil || err != nil {
+		t.Fatalf("survivor got (%v, %v, %v), want the stolen lease", res, stolen, err)
+	}
+	defer stolen.Release()
+	if m := s.Stats(); m.LeaseSteals != 1 {
+		t.Fatalf("steals = %d, want 1", m.LeaseSteals)
+	}
+
+	// A waiter whose context ends gives up with the context's error.
+	cctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel()
+	if res, l, err := s.GetOrLease(cctx, leaseSpec, scen, "impatient", ttl); res != nil || l != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("impatient waiter got (%v, %v, %v), want the deadline", res, l, err)
+	}
 }

@@ -487,7 +487,8 @@ func (s *Store) Get(specHash, scenHash string) (*core.Result, error) {
 // readEntry decodes one entry file back into a Result. The NDJSON lines
 // are free of ordering assumptions except that the result header must
 // come first and the end trailer must be present (its absence is how
-// truncation past the last complete line is caught).
+// truncation past the last complete line is caught). Telemetry lines
+// decode through the telemetry stream's own line decoder.
 func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -499,8 +500,8 @@ func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 	var ds *telemetry.Dataset
 	ended := false
 	for line := 0; ; line++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
+		typ, raw, err := telemetry.NextLine(dec)
+		if err == io.EOF {
 			break
 		} else if err != nil {
 			return nil, fmt.Errorf("line %d: %w", line, err)
@@ -508,13 +509,7 @@ func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 		if ended {
 			return nil, fmt.Errorf("line %d: content after end trailer", line)
 		}
-		var probe struct {
-			Type string `json:"type"`
-		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
-		}
-		switch probe.Type {
+		switch typ {
 		case "result":
 			var rl resultLine
 			if err := json.Unmarshal(raw, &rl); err != nil {
@@ -540,40 +535,17 @@ func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 				return nil, fmt.Errorf("line %d: %w", line, err)
 			}
 			res.History = append(res.History, sl.Sample)
-		case "meta":
-			var m struct {
-				Epoch       string  `json:"epoch"`
-				SeriesDtSec float64 `json:"series_dt_sec"`
-			}
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if ds == nil {
-				ds = &telemetry.Dataset{}
-			}
-			ds.Epoch, ds.SeriesDtSec = m.Epoch, m.SeriesDtSec
-		case "series":
-			var p telemetry.SeriesPoint
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if ds == nil {
-				ds = &telemetry.Dataset{}
-			}
-			ds.Series = append(ds.Series, p)
-		case "job":
-			var j telemetry.JobRecord
-			if err := json.Unmarshal(raw, &j); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			}
-			if ds == nil {
-				ds = &telemetry.Dataset{}
-			}
-			ds.Jobs = append(ds.Jobs, j)
 		case "end":
 			ended = true
 		default:
-			return nil, fmt.Errorf("line %d: unknown type %q", line, probe.Type)
+			if ds == nil {
+				ds = &telemetry.Dataset{}
+			}
+			if ok, err := telemetry.DecodeLine(ds, typ, raw); err != nil {
+				return nil, fmt.Errorf("line %d: %w", line, err)
+			} else if !ok {
+				return nil, fmt.Errorf("line %d: unknown type %q", line, typ)
+			}
 		}
 	}
 	if !ended {

@@ -107,42 +107,67 @@ func ReadStream(r io.Reader) (*Dataset, error) {
 	d := &Dataset{}
 	dec := json.NewDecoder(r)
 	for line := 0; ; line++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
+		typ, raw, err := NextLine(dec)
+		if err == io.EOF {
 			return d, nil
 		} else if err != nil {
 			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
 		}
-		var probe struct {
-			Type string `json:"type"`
+		if typ == "meta" && line != 0 {
+			return nil, fmt.Errorf("telemetry: stream line %d: meta not first", line)
 		}
-		if err := json.Unmarshal(raw, &probe); err != nil {
+		if ok, err := DecodeLine(d, typ, raw); err != nil {
 			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-		}
-		switch probe.Type {
-		case "meta":
-			var m streamMeta
-			if err := json.Unmarshal(raw, &m); err != nil {
-				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-			}
-			if line != 0 {
-				return nil, fmt.Errorf("telemetry: stream line %d: meta not first", line)
-			}
-			d.Epoch, d.SeriesDtSec = m.Epoch, m.SeriesDtSec
-		case "series":
-			var p streamSeries
-			if err := json.Unmarshal(raw, &p); err != nil {
-				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-			}
-			d.Series = append(d.Series, p.SeriesPoint)
-		case "job":
-			var j streamJob
-			if err := json.Unmarshal(raw, &j); err != nil {
-				return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-			}
-			d.Jobs = append(d.Jobs, j.JobRecord)
-		default:
-			return nil, fmt.Errorf("telemetry: stream line %d: unknown type %q", line, probe.Type)
+		} else if !ok {
+			return nil, fmt.Errorf("telemetry: stream line %d: unknown type %q", line, typ)
 		}
 	}
+}
+
+// NextLine reads one line of a typed NDJSON stream: the line's "type"
+// field and its raw JSON. It returns io.EOF at the end of the stream.
+// Streams that embed telemetry among lines of their own (the result
+// store's entries) read them with NextLine too and hand the telemetry
+// lines to DecodeLine.
+func NextLine(dec *json.Decoder) (string, json.RawMessage, error) {
+	var raw json.RawMessage
+	if err := dec.Decode(&raw); err != nil {
+		return "", nil, err
+	}
+	var probe struct {
+		Type string `json:"type"`
+	}
+	if err := json.Unmarshal(raw, &probe); err != nil {
+		return "", nil, err
+	}
+	return probe.Type, raw, nil
+}
+
+// DecodeLine applies one telemetry line of type typ to d: a meta line
+// sets the epoch and series period, series and job lines append. It
+// reports false, without error, for any other type.
+func DecodeLine(d *Dataset, typ string, raw json.RawMessage) (bool, error) {
+	switch typ {
+	case "meta":
+		var m streamMeta
+		if err := json.Unmarshal(raw, &m); err != nil {
+			return true, err
+		}
+		d.Epoch, d.SeriesDtSec = m.Epoch, m.SeriesDtSec
+	case "series":
+		var p streamSeries
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return true, err
+		}
+		d.Series = append(d.Series, p.SeriesPoint)
+	case "job":
+		var j streamJob
+		if err := json.Unmarshal(raw, &j); err != nil {
+			return true, err
+		}
+		d.Jobs = append(d.Jobs, j.JobRecord)
+	default:
+		return false, nil
+	}
+	return true, nil
 }
