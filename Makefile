@@ -17,12 +17,14 @@ test-short:
 	$(GO) test -short ./...
 
 # Race-detector pass over the concurrent layers (sweep service, durable
-# result store, cluster coordinator, metric registry/tracer) — the
+# result store, cluster coordinator, metric registry/tracer, the twin's
+# RunBatch fan-out and the dashboard reading a twin mid-run) — the
 # packages whose invariants are all about shared state under load.
 test-race:
 	$(GO) test -race ./internal/service/... ./internal/store/... \
 		./internal/cluster/... ./internal/obs/... \
-		./internal/optimize/... ./internal/surrogate/... ./internal/uq/...
+		./internal/optimize/... ./internal/surrogate/... ./internal/uq/... \
+		./internal/core/... ./internal/viz/...
 
 # Distributed-sweep fabric suite under the race detector: wire
 # round-trip hash stability, rendezvous sharding, worker health and

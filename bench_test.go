@@ -3,7 +3,7 @@ package exadigit
 // One benchmark per table and figure of the paper's evaluation (§IV).
 // Each benchmark regenerates its artifact at a reduced-but-faithful scale
 // so the whole suite runs in minutes; cmd/experiments reproduces the
-// full-scale numbers recorded in EXPERIMENTS.md.
+// full-scale numbers.
 
 import (
 	"context"
@@ -636,7 +636,8 @@ func BenchmarkCoordinatorSweep(b *testing.B) {
 	}
 }
 
-// Ablation benchmarks for the design choices DESIGN.md calls out.
+// Ablation benchmarks for the twin's design choices: tick size, cooling
+// cost, control period and scheduling policy.
 
 // BenchmarkAblationTick measures the 1 s-vs-15 s tick fidelity/cost
 // trade (the fast path must stay within 1 % energy).

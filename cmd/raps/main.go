@@ -9,7 +9,7 @@
 //	raps [-workload synthetic|idle|peak|hpl|openmxp|replay]
 //	     [-horizon 24h] [-tick 15s] [-policy fcfs|sjf|easy]
 //	     [-cooling] [-mode ac-baseline|smart-rectifier|dc380]
-//	     [-replay-dir DIR] [-export-dir DIR] [-seed N] [-spec FILE]
+//	     [-replay FILE] [-export FILE] [-seed N] [-spec FILE]
 package main
 
 import (
@@ -27,17 +27,17 @@ func main() {
 	log.SetPrefix("raps: ")
 
 	var (
-		workload  = flag.String("workload", "synthetic", "workload kind: synthetic, idle, peak, hpl, openmxp, replay")
-		horizon   = flag.Duration("horizon", 24*time.Hour, "simulated duration")
-		tick      = flag.Duration("tick", 15*time.Second, "simulation tick")
-		policy    = flag.String("policy", "fcfs", "scheduling policy: fcfs, sjf, easy")
-		cool      = flag.Bool("cooling", false, "couple the thermo-fluid cooling model")
-		mode      = flag.String("mode", "", "power architecture: ac-baseline, smart-rectifier, dc380")
-		replayDir = flag.String("replay-dir", "", "telemetry dataset directory to replay")
-		exportDir = flag.String("export-dir", "", "write the run's telemetry dataset here")
-		seed      = flag.Int64("seed", 1, "workload random seed")
-		specFile  = flag.String("spec", "", "system spec JSON (default: built-in Frontier)")
-		dashboard = flag.Bool("dashboard", false, "print a terminal dashboard frame at the end")
+		workload   = flag.String("workload", "synthetic", "workload kind: synthetic, idle, peak, hpl, openmxp, replay")
+		horizon    = flag.Duration("horizon", 24*time.Hour, "simulated duration")
+		tick       = flag.Duration("tick", 15*time.Second, "simulation tick")
+		policy     = flag.String("policy", "fcfs", "scheduling policy: fcfs, sjf, easy")
+		cool       = flag.Bool("cooling", false, "couple the thermo-fluid cooling model")
+		mode       = flag.String("mode", "", "power architecture: ac-baseline, smart-rectifier, dc380")
+		replayFile = flag.String("replay", "", "telemetry dataset file (NDJSON) to replay")
+		exportFile = flag.String("export", "", "write the run's telemetry dataset to this NDJSON file")
+		seed       = flag.Int64("seed", 1, "workload random seed")
+		specFile   = flag.String("spec", "", "system spec JSON (default: built-in Frontier)")
+		dashboard  = flag.Bool("dashboard", false, "print a terminal dashboard frame at the end")
 	)
 	flag.Parse()
 
@@ -65,8 +65,8 @@ func main() {
 		PowerMode:  *mode,
 		Generator:  gen,
 	}
-	if *replayDir != "" {
-		ds, err := exadigit.LoadTelemetry(*replayDir)
+	if *replayFile != "" {
+		ds, err := exadigit.LoadTelemetry(*replayFile)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -81,12 +81,12 @@ func main() {
 	}
 	printReport(res.Report, time.Since(start))
 
-	if *exportDir != "" {
-		if err := res.Dataset.Save(*exportDir); err != nil {
+	if *exportFile != "" {
+		if err := res.Dataset.Save(*exportFile); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("telemetry written to %s (%d jobs, %d samples)\n",
-			*exportDir, len(res.Dataset.Jobs), len(res.Dataset.Series))
+			*exportFile, len(res.Dataset.Jobs), len(res.Dataset.Series))
 	}
 	if *dashboard {
 		fmt.Println()

@@ -33,8 +33,7 @@
 //		res.Report.AvgPowerMW, res.Report.AvgPUE)
 //
 // Every table and figure of the paper's evaluation can be regenerated
-// with cmd/experiments; see DESIGN.md for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured results.
+// with cmd/experiments (see README.md).
 package exadigit
 
 import (
@@ -240,9 +239,9 @@ func SetonixLikeSpec() SystemSpec { return config.SetonixLike() }
 // LoadSpec reads a system specification from a JSON file.
 func LoadSpec(path string) (*SystemSpec, error) { return config.LoadFile(path) }
 
-// LoadTelemetry reads a telemetry dataset directory written by
-// Dataset.Save.
-func LoadTelemetry(dir string) (*Dataset, error) { return telemetry.Load(dir) }
+// LoadTelemetry reads a telemetry dataset file: the NDJSON stream that
+// Dataset.Save writes and Scenario.TelemetryTo emits.
+func LoadTelemetry(path string) (*Dataset, error) { return telemetry.Load(path) }
 
 // DefaultGeneratorConfig returns the Table IV-calibrated synthetic
 // workload parameters.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -113,31 +114,46 @@ func TestFacadeDashboardHandler(t *testing.T) {
 	}
 }
 
+// TestFacadeTelemetryRoundTrip: a run's export survives Save →
+// LoadTelemetry bit-for-bit — on the two-partition Setonix-like machine
+// that includes the per-partition power split — and the reloaded
+// dataset replays.
 func TestFacadeTelemetryRoundTrip(t *testing.T) {
-	tw, err := NewFrontierTwin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := tw.Run(Scenario{Workload: WorkloadSynthetic, HorizonSec: 1800, TickSec: 15})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "day")
-	if err := res.Dataset.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	ds, err := LoadTelemetry(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ds.Jobs) != len(res.Dataset.Jobs) {
-		t.Errorf("telemetry round trip lost jobs: %d vs %d", len(ds.Jobs), len(res.Dataset.Jobs))
-	}
-	// And it replays.
-	if _, err := tw.Run(Scenario{
-		Workload: WorkloadReplay, Dataset: ds, HorizonSec: 1800, TickSec: 15,
-	}); err != nil {
-		t.Fatal(err)
+	for name, spec := range map[string]SystemSpec{
+		"frontier":     FrontierSpec(),
+		"setonix-like": SetonixLikeSpec(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			tw, err := NewTwin(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := tw.Run(Scenario{Workload: WorkloadSynthetic, HorizonSec: 1800, TickSec: 15})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := len(spec.Partitions); n > 1 && len(res.Dataset.Series[0].PartPowerW) != n {
+				t.Fatalf("export carries %d partition powers, want %d",
+					len(res.Dataset.Series[0].PartPowerW), n)
+			}
+			path := filepath.Join(t.TempDir(), "day.ndjson")
+			if err := res.Dataset.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			ds, err := LoadTelemetry(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ds, res.Dataset) {
+				t.Error("telemetry round trip changed the dataset")
+			}
+			// And it replays.
+			if _, err := tw.Run(Scenario{
+				Workload: WorkloadReplay, Dataset: ds, HorizonSec: 1800, TickSec: 15,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

@@ -38,17 +38,17 @@ func main() {
 	fmt.Printf("captured: %d jobs, %.2f MW avg\n",
 		captured.Report.JobsCompleted, captured.Report.AvgPowerMW)
 
-	// 2. Persist and reload the dataset (jobs.jsonl + series.csv).
-	dir := filepath.Join(os.TempDir(), "exadigit-replay-demo")
-	if err := captured.Dataset.Save(dir); err != nil {
+	// 2. Persist and reload the dataset (one NDJSON telemetry file).
+	path := filepath.Join(os.TempDir(), "exadigit-replay-demo.ndjson")
+	if err := captured.Dataset.Save(path); err != nil {
 		log.Fatal(err)
 	}
-	ds, err := exadigit.LoadTelemetry(dir)
+	ds, err := exadigit.LoadTelemetry(path)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("persisted to %s and reloaded: %d job records, %d series samples\n",
-		dir, len(ds.Jobs), len(ds.Series))
+		path, len(ds.Jobs), len(ds.Series))
 
 	// 3. Replay through the twin with pinned start times.
 	replayed, err := tw.Run(exadigit.Scenario{

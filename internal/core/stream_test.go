@@ -12,8 +12,8 @@ import (
 
 // TestStreamedTelemetryMatchesExport: the NDJSON stream written
 // incrementally during a run must reassemble into exactly the dataset
-// the in-memory ExportTelemetry materializes after it — bit-for-bit
-// (JSON float64 encoding round-trips exactly).
+// the in-memory export materializes after it — bit-for-bit (JSON
+// float64 encoding round-trips exactly).
 func TestStreamedTelemetryMatchesExport(t *testing.T) {
 	gen := job.DefaultGeneratorConfig()
 	gen.Seed = 9
@@ -26,8 +26,7 @@ func TestStreamedTelemetryMatchesExport(t *testing.T) {
 		Generator:  gen,
 		// WetBulbC deliberately unset: the synthetic weather generator is
 		// stateful (noise advances per query), the hardest case for
-		// stream/export agreement — the export must reuse the streamed
-		// points rather than re-sampling.
+		// stream/export agreement — each must sample a fresh source.
 		WeatherSeed: 3,
 		TelemetryTo: &buf,
 	}
@@ -76,39 +75,72 @@ func TestStreamedTelemetryMatchesExport(t *testing.T) {
 }
 
 // TestTelemetrySinkDoesNotPerturbResults: attaching a streaming sink
-// must be invisible to the simulation — in particular the sink must not
-// advance the run's stateful wet-bulb source, which the cooling
-// coupling samples (a shared closure would change PUE and the report).
+// must be invisible to the simulation and to its export — in particular
+// the sink must not advance the run's stateful wet-bulb source, which
+// the cooling coupling samples (a shared closure would change PUE and
+// the report), and the export must not depend on whether a sink is
+// attached. Each case's Result.Dataset must be identical with and
+// without TelemetryTo, and equal to what the stream carried.
 func TestTelemetrySinkDoesNotPerturbResults(t *testing.T) {
-	run := func(streamed bool) *Result {
-		gen := job.DefaultGeneratorConfig()
-		gen.Seed = 12
-		sc := Scenario{
+	gen := job.DefaultGeneratorConfig()
+	gen.Seed = 12
+	for name, sc := range map[string]Scenario{
+		"cooled weather": {
 			Workload: WorkloadSynthetic, HorizonSec: 1800, TickSec: 15,
 			Generator: gen, Cooling: true, WeatherSeed: 5,
-			NoExport: true,
-		}
-		if streamed {
-			sc.TelemetryTo = &bytes.Buffer{}
-		}
-		tw, err := NewFromSpec(config.Frontier())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := tw.Run(sc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	plain, streamed := run(false), run(true)
-	if plain.Report.EnergyMWh != streamed.Report.EnergyMWh {
-		t.Errorf("energy changed by attaching a sink: %v vs %v",
-			plain.Report.EnergyMWh, streamed.Report.EnergyMWh)
-	}
-	if plain.Report.AvgPUE != streamed.Report.AvgPUE {
-		t.Errorf("PUE changed by attaching a sink: %v vs %v",
-			plain.Report.AvgPUE, streamed.Report.AvgPUE)
+		},
+		"no history": {
+			Workload: WorkloadSynthetic, HorizonSec: 1800, TickSec: 15,
+			Generator: gen, WeatherSeed: 5, NoHistory: true,
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			run := func(sink *bytes.Buffer) *Result {
+				sc := sc
+				if sink != nil {
+					sc.TelemetryTo = sink
+				}
+				tw, err := NewFromSpec(config.Frontier())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := tw.Run(sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			var sink bytes.Buffer
+			plain, streamed := run(nil), run(&sink)
+			if plain.Report.EnergyMWh != streamed.Report.EnergyMWh {
+				t.Errorf("energy changed by attaching a sink: %v vs %v",
+					plain.Report.EnergyMWh, streamed.Report.EnergyMWh)
+			}
+			if plain.Report.AvgPUE != streamed.Report.AvgPUE {
+				t.Errorf("PUE changed by attaching a sink: %v vs %v",
+					plain.Report.AvgPUE, streamed.Report.AvgPUE)
+			}
+			if want := int(1800 / 15); len(plain.Dataset.Series) != want {
+				t.Fatalf("export carries %d series points, want %d", len(plain.Dataset.Series), want)
+			}
+			if !reflect.DeepEqual(plain.Dataset, streamed.Dataset) {
+				for i := range plain.Dataset.Series {
+					if i < len(streamed.Dataset.Series) &&
+						!reflect.DeepEqual(plain.Dataset.Series[i], streamed.Dataset.Series[i]) {
+						t.Fatalf("series point %d: %+v without a sink, %+v with one",
+							i, plain.Dataset.Series[i], streamed.Dataset.Series[i])
+					}
+				}
+				t.Fatal("export differs with and without a sink")
+			}
+			got, err := telemetry.ReadStream(&sink)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, plain.Dataset) {
+				t.Error("the stream does not read back as the export")
+			}
+		})
 	}
 }
 

@@ -110,17 +110,18 @@ type Scenario struct {
 	// NoExport skips the telemetry-dataset export in the Result — the
 	// lean mode batch sweeps use when only the report matters.
 	NoExport bool
-	// NoHistory additionally skips storing the recorded series, so the
-	// Result carries only the report — huge sweeps stop pinning ~0.6 MB
-	// of samples per simulated day in result caches. Combine with
-	// NoExport (an export after a NoHistory run has no series);
-	// TelemetryTo still streams every sample.
+	// NoHistory drops the recorded samples from Result.History — huge
+	// sweeps stop pinning ~0.6 MB of samples per simulated day in result
+	// caches. It does not thin the telemetry: an export (unless NoExport)
+	// and TelemetryTo both still carry every sample. Combine with
+	// NoExport for a Result with only the report.
 	NoHistory bool
 	// TelemetryTo, when non-nil, streams the run's telemetry as NDJSON
 	// to the writer incrementally — series samples as they are recorded
-	// during the run, job records at the end — instead of (or alongside)
-	// materializing the Result.Dataset export. Combine with NoExport for
-	// long replays that should never hold the dense export in memory.
+	// during the run, job records at the end. The stream reads back
+	// (telemetry.ReadStream) as exactly the Result.Dataset export.
+	// Combine with NoExport for long replays that should never hold the
+	// dense export in memory.
 	TelemetryTo io.Writer
 }
 
@@ -371,7 +372,6 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown engine %q (want \"event\" or \"dense\")", sc.Engine)
 	}
-	rcfg.NoHistory = sc.NoHistory
 	rcfg.EnableCooling = sc.Cooling || sc.CoolingSpec != nil
 	if rcfg.EnableCooling {
 		if sc.CoolingSpec != nil {
@@ -389,31 +389,18 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 	if name == "" {
 		name = string(sc.Workload)
 	}
-	// Streaming sink: series samples leave through the writer as the run
-	// records them; job records follow once the run is over. The sink
-	// samples its own wet-bulb closure — never the simulation's, whose
-	// state the cooling coupling depends on (the synthetic weather
-	// generator advances noise per query, so sharing it would make
-	// attaching a sink change the run's results). The points are also
-	// captured for the in-memory export (when requested), so stream and
-	// export stay bit-for-bit identical.
+	// The stream and the export each sample a fresh wet-bulb source,
+	// never the simulation's (the weather generator advances per query,
+	// so sharing it would let a sink change the run). At the same sample
+	// times fresh sources agree: the export is exactly the stream. The
+	// history an export is built from is kept even under NoHistory.
 	var stream *telemetry.StreamWriter
-	var captured []telemetry.SeriesPoint
 	if sc.TelemetryTo != nil {
 		stream = telemetry.NewStreamWriter(sc.TelemetryTo, name, rcfg.HistoryDtSec)
-		capture := !sc.NoExport
 		streamWB := tw.wetBulbFunc(&sc)
-		rcfg.OnSample = func(smp raps.Sample) {
-			p := telemetry.SeriesPoint{
-				TimeSec: smp.TimeSec, MeasuredPowerW: smp.PowerW, WetBulbC: streamWB(smp.TimeSec),
-				PartPowerW: smp.PartPowerW,
-			}
-			stream.Series(p)
-			if capture {
-				captured = append(captured, p)
-			}
-		}
+		rcfg.OnSample = func(smp raps.Sample) { stream.Series(smp.Point(streamWB(smp.TimeSec))) }
 	}
+	rcfg.NoHistory = sc.NoHistory && sc.NoExport
 
 	sim, err := raps.NewMulti(rcfg, parts)
 	if err != nil {
@@ -433,23 +420,12 @@ func (tw *Twin) RunContext(ctx context.Context, sc Scenario) (*Result, error) {
 			return nil, fmt.Errorf("core: telemetry stream: %w", err)
 		}
 	}
-	res := &Result{
-		Scenario: sc,
-		Report:   rep,
-		History:  sim.History(),
+	res := &Result{Scenario: sc, Report: rep}
+	if !sc.NoHistory {
+		res.History = sim.History()
 	}
 	if !sc.NoExport {
-		if stream != nil {
-			// Reuse the streamed points rather than re-querying the
-			// wet-bulb source (see the capture comment above).
-			d := &telemetry.Dataset{
-				Epoch: name, SeriesDtSec: rcfg.HistoryDtSec, Series: captured,
-			}
-			sim.ForEachJobRecord(func(r telemetry.JobRecord) { d.Jobs = append(d.Jobs, r) })
-			res.Dataset = d
-		} else {
-			res.Dataset = sim.ExportTelemetry(name)
-		}
+		res.Dataset = sim.ExportTelemetry(name, tw.wetBulbFunc(&sc))
 	}
 	res.WallSec = time.Since(start).Seconds()
 	return res, nil

@@ -328,7 +328,7 @@ func TestReplayDatasetRoundTrip(t *testing.T) {
 	if _, err := sim.Run(3600); err != nil {
 		t.Fatal(err)
 	}
-	ds := sim.ExportTelemetry("short-day")
+	ds := sim.ExportTelemetry("short-day", nil)
 	rep, mape, err := replayThroughTwin(ds)
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,7 @@ func Fig9(cfg Fig9Config) (*Table, *Fig9Data, error) {
 	}
 
 	// The "measured" channel: exported telemetry with sensor noise.
-	ds := sim.ExportTelemetry("fig9-day")
+	ds := sim.ExportTelemetry("fig9-day", nil)
 	ds.AddSensorNoise(cfg.SensorNoiseRel, cfg.Seed+11)
 
 	data := &Fig9Data{

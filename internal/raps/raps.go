@@ -59,6 +59,9 @@ const (
 	EngineDense
 )
 
+// defaultWetBulbC is the outdoor wet bulb when no source is configured.
+const defaultWetBulbC = 20.0
+
 // Config parameterizes a simulation run.
 type Config struct {
 	// Policy names the scheduling policy ("fcfs", "sjf", "easy").
@@ -870,7 +873,7 @@ func (s *Simulation) stepCooling() error {
 		dt = period
 	}
 	copy(s.coolIn.CDUHeatW, s.cduHeat())
-	s.coolIn.WetBulbC = 20
+	s.coolIn.WetBulbC = defaultWetBulbC
 	if s.cfg.WetBulbC != nil {
 		s.coolIn.WetBulbC = s.cfg.WetBulbC(s.now)
 	}
@@ -1081,29 +1084,32 @@ func (s *Simulation) ForEachJobRecord(fn func(telemetry.JobRecord)) {
 	}
 }
 
-// SeriesPointAt converts one recorded sample into the system-level
-// telemetry series schema, evaluating the run's wet-bulb source at the
-// sample time.
-func (s *Simulation) SeriesPointAt(smp Sample) telemetry.SeriesPoint {
-	wb := 20.0
-	if s.cfg.WetBulbC != nil {
-		wb = s.cfg.WetBulbC(smp.TimeSec)
-	}
+// Point converts the sample into the system-level telemetry series
+// schema, with the outdoor wet bulb at the sample time. It is the one
+// sample→point conversion: the streaming sink and ExportTelemetry both
+// go through it.
+func (smp Sample) Point(wetBulbC float64) telemetry.SeriesPoint {
 	return telemetry.SeriesPoint{
-		TimeSec: smp.TimeSec, MeasuredPowerW: smp.PowerW, WetBulbC: wb,
+		TimeSec: smp.TimeSec, MeasuredPowerW: smp.PowerW, WetBulbC: wetBulbC,
 		PartPowerW: smp.PartPowerW,
 	}
 }
 
 // ExportTelemetry converts the run so far into a Table II-style dataset:
 // every job that has started (completed or still running) with its power
-// traces, plus the predicted power series as the "measured" channel (our
-// substitute for production telemetry).
-func (s *Simulation) ExportTelemetry(epoch string) *telemetry.Dataset {
+// traces, plus the recorded history as the "measured" series (our
+// substitute for production telemetry). wetBulbC is the series' wet-bulb
+// source, queried per sample in time order (nil: a constant 20 °C); a
+// stateful source must be fresh, not the one the cooling coupling ran.
+func (s *Simulation) ExportTelemetry(epoch string, wetBulbC func(tSec float64) float64) *telemetry.Dataset {
 	d := &telemetry.Dataset{Epoch: epoch, SeriesDtSec: s.cfg.HistoryDtSec}
 	s.ForEachJobRecord(func(r telemetry.JobRecord) { d.Jobs = append(d.Jobs, r) })
 	for _, smp := range s.history {
-		d.Series = append(d.Series, s.SeriesPointAt(smp))
+		wb := defaultWetBulbC
+		if wetBulbC != nil {
+			wb = wetBulbC(smp.TimeSec)
+		}
+		d.Series = append(d.Series, smp.Point(wb))
 	}
 	return d
 }

@@ -241,7 +241,7 @@ func TestTelemetryExportAndReplayRoundTrip(t *testing.T) {
 	if rep1.JobsCompleted < 10 {
 		t.Fatalf("only %d jobs completed", rep1.JobsCompleted)
 	}
-	ds := sim.ExportTelemetry("test-day")
+	ds := sim.ExportTelemetry("test-day", nil)
 	if len(ds.Jobs) != rep1.JobsCompleted || len(ds.Series) == 0 {
 		t.Fatalf("export: %d jobs, %d samples", len(ds.Jobs), len(ds.Series))
 	}

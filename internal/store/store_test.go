@@ -187,43 +187,53 @@ func TestTruncatedEntryQuarantinedOnOpen(t *testing.T) {
 }
 
 // TestCorruptEntryQuarantinedOnGet: corruption that appears after the
-// index was built (the trailer intact but the body mangled) is caught at
-// read time, quarantined, and reported as ErrCorrupt; a re-Put of the
-// same key heals the store.
+// index was built (the trailer intact but the body mangled, or a job
+// record no replay could place) is caught at read time, quarantined,
+// and reported as ErrCorrupt; a re-Put of the same key heals the store.
 func TestCorruptEntryQuarantinedOnGet(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put(specA, scenA, sampleResult()); err != nil {
-		t.Fatal(err)
-	}
-	path := s.EntryPath(specA, scenA)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mangle the header line but keep the end trailer, so only a full
-	// read can notice.
-	mangled := strings.Replace(string(data), `"type":"result"`, `"type":"garbage"`, 1)
-	if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Get(specA, scenA); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("want ErrCorrupt, got %v", err)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("corrupt entry still indexed")
-	}
-	// Second Get is a plain miss (no double quarantine).
-	if _, err := s.Get(specA, scenA); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("want ErrNotFound after quarantine, got %v", err)
-	}
-	if err := s.Put(specA, scenA, sampleResult()); err != nil {
-		t.Fatalf("re-put after quarantine: %v", err)
-	}
-	if _, err := s.Get(specA, scenA); err != nil {
-		t.Fatalf("healed entry not served: %v", err)
+	for name, mangle := range map[string][2]string{
+		"header":     {`"type":"result"`, `"type":"garbage"`},
+		"node count": {`"node_count":128`, `"node_count":0`},
+	} {
+		t.Run(name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Put(specA, scenA, sampleResult()); err != nil {
+				t.Fatal(err)
+			}
+			path := s.EntryPath(specA, scenA)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Mangle one line but keep the end trailer, so only a full
+			// read can notice.
+			if !strings.Contains(string(data), mangle[0]) {
+				t.Fatalf("entry has no %s", mangle[0])
+			}
+			mangled := strings.Replace(string(data), mangle[0], mangle[1], 1)
+			if err := os.WriteFile(path, []byte(mangled), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Get(specA, scenA); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("want ErrCorrupt, got %v", err)
+			}
+			if s.Len() != 0 {
+				t.Fatalf("corrupt entry still indexed")
+			}
+			// Second Get is a plain miss (no double quarantine).
+			if _, err := s.Get(specA, scenA); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("want ErrNotFound after quarantine, got %v", err)
+			}
+			if err := s.Put(specA, scenA, sampleResult()); err != nil {
+				t.Fatalf("re-put after quarantine: %v", err)
+			}
+			if _, err := s.Get(specA, scenA); err != nil {
+				t.Fatalf("healed entry not served: %v", err)
+			}
+		})
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 //	{"type":"series","time_sec":15,"measured_power_w":8.1e6,"wetbulb_c":20}
 //	{"type":"job","job_name":"...","job_id":1,...}
 //
-// Unlike Dataset.Save, a StreamWriter emits samples incrementally while
-// a simulation is still running, so long replays and sweep services
-// never materialize the dense export slices; ReadStream reassembles the
-// stream into the same Dataset the in-memory ExportTelemetry produces
-// (bit-for-bit — Go's JSON float encoding round-trips float64 exactly).
+// It is the one encoding of a Dataset. A StreamWriter emits samples
+// incrementally while a simulation is still running, so long replays and
+// sweep services never materialize the dense export slices; WriteStream
+// and Dataset.Save emit a whole Dataset at once. ReadStream reassembles
+// either into the same Dataset (bit-for-bit — Go's JSON float encoding
+// round-trips float64 exactly).
 
 // StreamWriter emits a telemetry dataset as NDJSON, incrementally.
 // Errors are sticky: the first write failure is retained and returned by
@@ -86,8 +87,7 @@ func (s *StreamWriter) Flush() error {
 }
 
 // WriteStream emits a whole in-memory dataset in the NDJSON format —
-// the non-incremental convenience used for persisted datasets and round-
-// trip tests.
+// the non-incremental form behind Dataset.Save and the result store.
 func WriteStream(w io.Writer, d *Dataset) error {
 	s := NewStreamWriter(w, d.Epoch, d.SeriesDtSec)
 	for i := range d.Jobs {
@@ -144,8 +144,9 @@ func NextLine(dec *json.Decoder) (string, json.RawMessage, error) {
 }
 
 // DecodeLine applies one telemetry line of type typ to d: a meta line
-// sets the epoch and series period, series and job lines append. It
-// reports false, without error, for any other type.
+// sets the epoch and series period, series and job lines append. A job
+// line without a positive node count is an error: no replay could ever
+// place it. It reports false, without error, for any other type.
 func DecodeLine(d *Dataset, typ string, raw json.RawMessage) (bool, error) {
 	switch typ {
 	case "meta":
@@ -164,6 +165,9 @@ func DecodeLine(d *Dataset, typ string, raw json.RawMessage) (bool, error) {
 		var j streamJob
 		if err := json.Unmarshal(raw, &j); err != nil {
 			return true, err
+		}
+		if j.NodeCount <= 0 {
+			return true, fmt.Errorf("job %d: node count %d is not positive", j.JobID, j.NodeCount)
 		}
 		d.Jobs = append(d.Jobs, j.JobRecord)
 	default:

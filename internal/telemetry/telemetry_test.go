@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,92 +64,60 @@ func TestJobRecordConversionRoundTrip(t *testing.T) {
 	}
 }
 
-func TestJobsJSONLRoundTrip(t *testing.T) {
-	jobs := []JobRecord{
-		{JobName: "a", JobID: 1, NodeCount: 4, SubmitTime: 0, StartTime: 5, WallTime: 60,
-			CPUPowerW: []float64{100, 150}, GPUPowerW: []float64{200, 300}},
-		{JobName: "b", JobID: 2, NodeCount: 9216, SubmitTime: 10, StartTime: 20, WallTime: 120,
-			CPUPowerW: []float64{152.7}, GPUPowerW: []float64{460.9}},
+// TestReadStreamRejectsBadRecords: malformed lines and job records no
+// replay could place fail the whole read, naming the offending line.
+func TestReadStreamRejectsBadRecords(t *testing.T) {
+	for name, in := range map[string]string{
+		"zero node count":     `{"type":"job","job_id":1,"node_count":0}`,
+		"negative node count": `{"type":"job","job_id":1,"node_count":-5}`,
+		"missing node count":  `{"type":"job","job_id":1}`,
+		"malformed JSON":      `{garbage`,
+		"non-numeric time":    `{"type":"series","time_sec":"x","measured_power_w":1}`,
+		"non-numeric power":   `{"type":"series","time_sec":0,"measured_power_w":"1e6"}`,
+		"unknown type":        `{"type":"cdu","time_sec":0}`,
+		"meta not first":      `{"type":"series","time_sec":0}` + "\n" + `{"type":"meta","epoch":"x"}`,
+	} {
+		if _, err := ReadStream(strings.NewReader(in)); err == nil {
+			t.Errorf("%s: accepted %s", name, in)
+		}
 	}
-	var buf bytes.Buffer
-	if err := WriteJobsJSONL(&buf, jobs); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadJobsJSONL(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].JobName != "a" || got[1].NodeCount != 9216 {
-		t.Errorf("round trip = %+v", got)
-	}
-	if got[1].GPUPowerW[0] != 460.9 {
-		t.Errorf("trace lost: %v", got[1].GPUPowerW)
-	}
-}
-
-func TestReadJobsJSONLRejectsBadRecords(t *testing.T) {
-	if _, err := ReadJobsJSONL(strings.NewReader(`{"job_id":1,"node_count":0}`)); err == nil {
-		t.Error("zero node count should fail")
-	}
-	if _, err := ReadJobsJSONL(strings.NewReader(`{garbage`)); err == nil {
-		t.Error("malformed JSON should fail")
+	d, err := ReadStream(strings.NewReader(""))
+	if err != nil || len(d.Jobs) != 0 || len(d.Series) != 0 {
+		t.Errorf("empty stream = %+v, %v; want an empty dataset", d, err)
 	}
 }
 
-func TestSeriesCSVRoundTrip(t *testing.T) {
-	pts := []SeriesPoint{
-		{TimeSec: 0, MeasuredPowerW: 17e6, WetBulbC: 18.5},
-		{TimeSec: 15, MeasuredPowerW: 17.2e6, WetBulbC: 18.6},
-	}
-	var buf bytes.Buffer
-	if err := WriteSeriesCSV(&buf, pts); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadSeriesCSV(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[1].MeasuredPowerW != 17.2e6 || got[0].WetBulbC != 18.5 {
-		t.Errorf("round trip = %+v", got)
-	}
-}
-
-func TestSeriesCSVErrors(t *testing.T) {
-	if _, err := ReadSeriesCSV(strings.NewReader("")); err == nil {
-		t.Error("empty file should fail")
-	}
-	if _, err := ReadSeriesCSV(strings.NewReader("h1,h2,h3\nx,1,2\n")); err == nil {
-		t.Error("non-numeric time should fail")
-	}
-	if _, err := ReadSeriesCSV(strings.NewReader("h1,h2\n1,2\n")); err == nil {
-		t.Error("wrong column count should fail")
-	}
-}
-
+// TestDatasetSaveLoad: a dataset survives Save → Load as one NDJSON file
+// bit-for-bit — meta, job power traces, and series points including the
+// per-partition power split of a two-partition machine.
 func TestDatasetSaveLoad(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "capture")
+	path := filepath.Join(t.TempDir(), "capture.ndjson")
 	d := &Dataset{
 		Epoch:       "2024-01-18",
 		SeriesDtSec: 15,
-		Jobs: []JobRecord{{JobName: "x", JobID: 1, NodeCount: 2, WallTime: 30,
-			CPUPowerW: []float64{100}, GPUPowerW: []float64{200}}},
-		Series: []SeriesPoint{{TimeSec: 0, MeasuredPowerW: 1e6, WetBulbC: 20}},
+		Jobs: []JobRecord{
+			{JobName: "a", JobID: 1, NodeCount: 4, SubmitTime: 0, StartTime: 5, WallTime: 60,
+				CPUPowerW: []float64{100, 150}, GPUPowerW: []float64{200, 300}},
+			{JobName: "b", JobID: 2, NodeCount: 9216, SubmitTime: 10, StartTime: 20, WallTime: 120,
+				CPUPowerW: []float64{152.7}, GPUPowerW: []float64{460.9}},
+		},
+		Series: []SeriesPoint{
+			{TimeSec: 0, MeasuredPowerW: 17e6, WetBulbC: 18.5, PartPowerW: []float64{2.1e6, 14.9e6}},
+			{TimeSec: 15, MeasuredPowerW: 17.2e6, WetBulbC: 18.6, PartPowerW: []float64{2.2e6, 15e6}},
+		},
 	}
-	if err := d.Save(dir); err != nil {
+	if err := d.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(dir)
+	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Epoch != "2024-01-18" || got.SeriesDtSec != 15 {
-		t.Errorf("meta = %+v", got)
+	if !reflect.DeepEqual(got, d) {
+		t.Errorf("round trip:\n got %+v\nwant %+v", got, d)
 	}
-	if len(got.Jobs) != 1 || len(got.Series) != 1 {
-		t.Errorf("content lost: %d jobs, %d series", len(got.Jobs), len(got.Series))
-	}
-	if _, err := Load(filepath.Join(dir, "missing")); err == nil {
-		t.Error("missing dir should fail")
+	if _, err := Load(filepath.Join(t.TempDir(), "missing.ndjson")); err == nil {
+		t.Error("missing file should fail")
 	}
 }
 
@@ -187,39 +156,34 @@ func TestAddSensorNoise(t *testing.T) {
 }
 
 func TestJobsJSONLRoundTripProperty(t *testing.T) {
-	// Arbitrary job records survive the JSONL round trip bit-exactly.
-	f := func(id int, nodes uint8, submit, wall float64, cpu, gpu []float64) bool {
-		rec := JobRecord{
-			JobName:    "prop",
-			JobID:      id,
-			NodeCount:  int(nodes%200) + 1,
-			SubmitTime: math.Mod(math.Abs(submit), 1e6),
-			WallTime:   math.Mod(math.Abs(wall), 1e5),
-			CPUPowerW:  sanitize(cpu),
-			GPUPowerW:  sanitize(gpu),
+	// Arbitrary job records and series points survive the NDJSON
+	// stream round trip bit-exactly.
+	f := func(id int, nodes uint8, submit, wall float64, cpu, gpu, part []float64) bool {
+		d := &Dataset{
+			Jobs: []JobRecord{{
+				JobName:    "prop",
+				JobID:      id,
+				NodeCount:  int(nodes%200) + 1,
+				SubmitTime: math.Mod(math.Abs(submit), 1e6),
+				WallTime:   math.Mod(math.Abs(wall), 1e5),
+				CPUPowerW:  sanitize(cpu),
+				GPUPowerW:  sanitize(gpu),
+			}},
+			Series: []SeriesPoint{{
+				TimeSec:        math.Mod(math.Abs(submit), 1e6),
+				MeasuredPowerW: math.Mod(math.Abs(wall), 1e8),
+				PartPowerW:     sanitize(part),
+			}},
+		}
+		if len(d.Series[0].PartPowerW) == 0 {
+			d.Series[0].PartPowerW = nil // omitempty: empty and nil are one encoding
 		}
 		var buf bytes.Buffer
-		if err := WriteJobsJSONL(&buf, []JobRecord{rec}); err != nil {
+		if err := WriteStream(&buf, d); err != nil {
 			return false
 		}
-		got, err := ReadJobsJSONL(&buf)
-		if err != nil || len(got) != 1 {
-			return false
-		}
-		g := got[0]
-		if g.JobID != rec.JobID || g.NodeCount != rec.NodeCount ||
-			g.SubmitTime != rec.SubmitTime || g.WallTime != rec.WallTime {
-			return false
-		}
-		if len(g.CPUPowerW) != len(rec.CPUPowerW) || len(g.GPUPowerW) != len(rec.GPUPowerW) {
-			return false
-		}
-		for i := range rec.CPUPowerW {
-			if g.CPUPowerW[i] != rec.CPUPowerW[i] {
-				return false
-			}
-		}
-		return true
+		got, err := ReadStream(&buf)
+		return err == nil && reflect.DeepEqual(got, d)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -57,6 +57,11 @@ type Source interface {
 // request's: a client disconnect aborts the experiment mid-run.
 type ExperimentRunner func(ctx context.Context, params map[string]string) (any, error)
 
+// maxResults bounds the /api/run results a Server keeps: the most recent
+// ones stay retrievable, older ones are dropped, so a long-lived server
+// does not grow with every experiment it runs.
+const maxResults = 100
+
 // Server is the REST API backend (the dashboard's data source).
 type Server struct {
 	src     Source
@@ -179,6 +184,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	id := s.nextID
 	s.nextID++
 	s.results[id] = result
+	delete(s.results, id-maxResults) // ids are consecutive: drop the oldest
 	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "result": result})
 }

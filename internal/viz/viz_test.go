@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -234,6 +235,43 @@ func TestServerRunAndExperiments(t *testing.T) {
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad run status = %d", resp3.StatusCode)
+	}
+}
+
+// TestServerKeepsRecentResults: /api/run keeps only the most recent
+// maxResults results; older ids stop resolving.
+func TestServerKeepsRecentResults(t *testing.T) {
+	runner := func(_ context.Context, params map[string]string) (any, error) {
+		return params["n"], nil
+	}
+	s := NewServer(&fakeSource{}, runner)
+	h := s.Handler()
+	const runs = maxResults + 3
+	for i := 1; i <= runs; i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, fmt.Sprintf("/api/run?n=%d", i), nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("run %d status = %d", i, rec.Code)
+		}
+	}
+	for id := 1; id <= runs-maxResults; id++ {
+		if _, err := s.Result(id); err == nil {
+			t.Errorf("result %d outlived the bound", id)
+		}
+	}
+	for _, id := range []int{runs - maxResults + 1, runs} {
+		if r, err := s.Result(id); err != nil || r != fmt.Sprint(id) {
+			t.Errorf("result %d = %v, %v; want it kept", id, r, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/experiments", nil))
+	var list []map[string]any
+	if err := json.NewDecoder(rec.Body).Decode(&list); err != nil {
+		t.Fatal(err)
+	}
+	if len(list) != maxResults {
+		t.Errorf("experiments lists %d results, want %d", len(list), maxResults)
 	}
 }
 
