@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-short test-race cluster-test chaos multihost-smoke check metrics-lint bench-check bench-smoke ci
+.PHONY: all build vet fmt-check test test-short test-race fuzz cluster-test chaos multihost-smoke check metrics-lint bench-check bench-smoke ci
 
 all: build vet test
 
@@ -9,6 +9,10 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Every tracked Go file is gofmt-clean.
+fmt-check:
+	test -z "$$(gofmt -l $$(git ls-files '*.go'))"
 
 test:
 	$(GO) test ./...
@@ -25,6 +29,13 @@ test-race:
 		./internal/cluster/... ./internal/obs/... \
 		./internal/optimize/... ./internal/surrogate/... ./internal/uq/... \
 		./internal/core/... ./internal/viz/...
+
+# Short native-fuzzing pass over the decoders of crash-torn and outside
+# bytes: the telemetry stream reader and the store's entry reader. Each
+# starts from its seed corpus under testdata/fuzz.
+fuzz:
+	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 10s
 
 # Distributed-sweep fabric suite under the race detector: wire
 # round-trip hash stability, rendezvous sharding, worker health and
@@ -71,4 +82,4 @@ bench-check:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'TwinDay|TableIV|RunBatchDays|SweepService|SweepWarmRestart|CoolingVariantSweep|MidDayCancel|MetricsScrapeUnderLoad|CoordinatorSweep|Optimize$$' -benchtime 1x .
 
-ci: build vet test check bench-check bench-smoke
+ci: build vet fmt-check test check bench-check bench-smoke

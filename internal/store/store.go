@@ -5,7 +5,9 @@
 //
 // Each completed scenario result is one NDJSON file keyed by the same
 // (spec hash, scenario hash) pair the in-memory result cache uses, laid
-// out as dir/<spec-hash>/<scenario-hash>.ndjson:
+// out as dir/<spec-hash>/<scenario-hash>.ndjson. Every line is one
+// entryLine (a telemetry.Line, a Header or a history sample), tagged by
+// its "type" and decoded once:
 //
 //	{"type":"result","spec_hash":"…","scenario_hash":"…","name":"…","wall_sec":1.2,"report":{…}}
 //	{"type":"sample",…}        // one per retained history sample
@@ -305,12 +307,11 @@ func (s *Store) quarantine(path string) {
 	}
 }
 
-// resultLine is the entry header: identity, the end-of-run report, and
-// the scalar result fields. History samples and the telemetry dataset
-// follow as their own lines so multi-megabyte exports stream instead of
-// materializing one giant JSON value.
-type resultLine struct {
-	Type         string       `json:"type"`
+// Header is an entry's first line: the entry's key, the scenario name,
+// wall time and end-of-run report. History samples and the telemetry
+// dataset follow as their own lines so multi-megabyte exports stream
+// instead of materializing one giant JSON value.
+type Header struct {
 	SpecHash     string       `json:"spec_hash"`
 	ScenarioHash string       `json:"scenario_hash"`
 	Name         string       `json:"name,omitempty"`
@@ -318,10 +319,15 @@ type resultLine struct {
 	Report       *raps.Report `json:"report,omitempty"`
 }
 
-// sampleLine is one retained history sample.
-type sampleLine struct {
-	Type string `json:"type"`
-	raps.Sample
+// entryLine is the one line type of an entry, used both to write and to
+// read it: a telemetry line, or the header, a history sample or the end
+// trailer. Its records are embedded pointers, so each line encodes flat
+// with only its own record's fields (encoding/json can only allocate
+// embedded pointers to exported types, hence the exported Header).
+type entryLine struct {
+	telemetry.Line // type: result | sample | end, or a telemetry type
+	*Header
+	*raps.Sample
 }
 
 // Put durably persists a completed result under (specHash, scenHash),
@@ -400,18 +406,17 @@ func (s *Store) put(specHash, scenHash string, res *core.Result) error {
 
 func writeEntry(w io.Writer, specHash, scenHash string, res *core.Result) error {
 	enc := json.NewEncoder(w)
-	if err := enc.Encode(resultLine{
-		Type:         "result",
+	if err := enc.Encode(entryLine{Line: telemetry.Line{Type: "result"}, Header: &Header{
 		SpecHash:     specHash,
 		ScenarioHash: scenHash,
 		Name:         res.Scenario.Name,
 		WallSec:      res.WallSec,
 		Report:       res.Report,
-	}); err != nil {
+	}}); err != nil {
 		return err
 	}
 	for i := range res.History {
-		if err := enc.Encode(sampleLine{Type: "sample", Sample: res.History[i]}); err != nil {
+		if err := enc.Encode(entryLine{Line: telemetry.Line{Type: "sample"}, Sample: &res.History[i]}); err != nil {
 			return err
 		}
 	}
@@ -420,10 +425,8 @@ func writeEntry(w io.Writer, specHash, scenHash string, res *core.Result) error 
 			return err
 		}
 	}
-	if _, err := w.Write(append(endLine, '\n')); err != nil {
-		return err
-	}
-	return nil
+	_, err := w.Write(append(endLine, '\n'))
+	return err
 }
 
 // Get loads the durable result for (specHash, scenHash). A missing entry
@@ -484,11 +487,11 @@ func (s *Store) Get(specHash, scenHash string) (*core.Result, error) {
 	return res, nil
 }
 
-// readEntry decodes one entry file back into a Result. The NDJSON lines
-// are free of ordering assumptions except that the result header must
-// come first and the end trailer must be present (its absence is how
-// truncation past the last complete line is caught). Telemetry lines
-// decode through the telemetry stream's own line decoder.
+// readEntry decodes one entry file back into a Result, decoding each
+// line once. The NDJSON lines are free of ordering assumptions except
+// that the result header must come first and the end trailer must be
+// present (its absence is how truncation past the last complete line is
+// caught). Telemetry lines are applied by the telemetry Dataset itself.
 func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -499,52 +502,51 @@ func readEntry(path, specHash, scenHash string) (*core.Result, error) {
 	var res *core.Result
 	var ds *telemetry.Dataset
 	ended := false
-	for line := 0; ; line++ {
-		typ, raw, err := telemetry.NextLine(dec)
-		if err == io.EOF {
+	for n := 0; ; n++ {
+		var l entryLine // fresh per line, as in telemetry.ReadStream
+		if err := dec.Decode(&l); err == io.EOF {
 			break
 		} else if err != nil {
-			return nil, fmt.Errorf("line %d: %w", line, err)
+			return nil, fmt.Errorf("line %d: %w", n, err)
 		}
 		if ended {
-			return nil, fmt.Errorf("line %d: content after end trailer", line)
+			return nil, fmt.Errorf("line %d: content after end trailer", n)
 		}
-		switch typ {
+		switch l.Type {
 		case "result":
-			var rl resultLine
-			if err := json.Unmarshal(raw, &rl); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
+			if n != 0 {
+				return nil, fmt.Errorf("line %d: result header not first", n)
 			}
-			if line != 0 {
-				return nil, fmt.Errorf("line %d: result header not first", line)
+			if l.Header == nil {
+				l.Header = &Header{}
 			}
-			if rl.SpecHash != specHash || rl.ScenarioHash != scenHash {
-				return nil, fmt.Errorf("line %d: entry is keyed %s/%s", line, rl.SpecHash, rl.ScenarioHash)
+			if l.SpecHash != specHash || l.ScenarioHash != scenHash {
+				return nil, fmt.Errorf("line %d: entry is keyed %s/%s", n, l.SpecHash, l.ScenarioHash)
+			}
+			if l.Report != nil && len(l.Report.Partitions) == 0 {
+				l.Report.Partitions = nil // omitempty: empty and absent are one encoding
 			}
 			res = &core.Result{
-				Scenario: core.Scenario{Name: rl.Name},
-				Report:   rl.Report,
-				WallSec:  rl.WallSec,
+				Scenario: core.Scenario{Name: l.Name},
+				Report:   l.Report,
+				WallSec:  l.WallSec,
 			}
 		case "sample":
 			if res == nil {
-				return nil, fmt.Errorf("line %d: sample before result header", line)
+				return nil, fmt.Errorf("line %d: sample before result header", n)
 			}
-			var sl sampleLine
-			if err := json.Unmarshal(raw, &sl); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
+			if l.Sample == nil {
+				l.Sample = &raps.Sample{}
 			}
-			res.History = append(res.History, sl.Sample)
+			res.History = append(res.History, *l.Sample)
 		case "end":
 			ended = true
 		default:
 			if ds == nil {
 				ds = &telemetry.Dataset{}
 			}
-			if ok, err := telemetry.DecodeLine(ds, typ, raw); err != nil {
-				return nil, fmt.Errorf("line %d: %w", line, err)
-			} else if !ok {
-				return nil, fmt.Errorf("line %d: unknown type %q", line, typ)
+			if err := ds.Apply(&l.Line); err != nil {
+				return nil, fmt.Errorf("line %d: %w", n, err)
 			}
 		}
 	}

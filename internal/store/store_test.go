@@ -237,6 +237,45 @@ func TestCorruptEntryQuarantinedOnGet(t *testing.T) {
 	}
 }
 
+// TestReadEntryRules pins each read rule of an entry: the result header
+// comes first and carries the entry's key, samples follow it, every
+// line has a known type, the end trailer is present and nothing follows
+// it. Each rejected input differs from the accepted one in one rule.
+func TestReadEntryRules(t *testing.T) {
+	const (
+		hdr   = `{"type":"result","spec_hash":"aaaa1111","scenario_hash":"bbbb2222","wall_sec":1}`
+		smp   = `{"type":"sample","TimeSec":15}`
+		job   = `{"type":"job","job_id":1,"node_count":1}`
+		end   = `{"type":"end"}`
+		other = `{"type":"result","spec_hash":"aaaa1111","scenario_hash":"cccc3333","wall_sec":1}`
+	)
+	path := filepath.Join(t.TempDir(), "entry"+entrySuffix)
+	read := func(lines ...string) error {
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := readEntry(path, specA, scenA)
+		return err
+	}
+	if err := read(hdr, smp, job, end); err != nil {
+		t.Fatalf("valid entry rejected: %v", err)
+	}
+	for name, lines := range map[string][]string{
+		"header not first":     {job, hdr, smp, end},
+		"missing header":       {job, end},
+		"sample before header": {smp, hdr, end},
+		"wrong key":            {other, smp, end},
+		"unknown type":         {hdr, `{"type":"cdu"}`, end},
+		"missing end trailer":  {hdr, smp, job},
+		"content after end":    {hdr, smp, end, job},
+		"zero node count":      {hdr, `{"type":"job","job_id":1,"node_count":0}`, end},
+	} {
+		if err := read(lines...); err == nil {
+			t.Errorf("%s: accepted %q", name, lines)
+		}
+	}
+}
+
 // TestInvalidKeysRejected: keys that are not lowercase-hex hashes never
 // touch the filesystem (path traversal is structurally impossible).
 func TestInvalidKeysRejected(t *testing.T) {

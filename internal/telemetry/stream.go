@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the streaming (NDJSON) telemetry format: one JSON
-// object per line, discriminated by a "type" field —
+// object per line, each a Line discriminated by its "type" field —
 //
 //	{"type":"meta","epoch":"...","series_dt_sec":15}
 //	{"type":"series","time_sec":15,"measured_power_w":8.1e6,"wetbulb_c":20}
@@ -17,9 +17,29 @@ import (
 // It is the one encoding of a Dataset. A StreamWriter emits samples
 // incrementally while a simulation is still running, so long replays and
 // sweep services never materialize the dense export slices; WriteStream
-// and Dataset.Save emit a whole Dataset at once. ReadStream reassembles
-// either into the same Dataset (bit-for-bit — Go's JSON float encoding
-// round-trips float64 exactly).
+// and Dataset.Save emit a whole Dataset at once. ReadStream decodes each
+// line once into a Line and reassembles either into the same Dataset
+// (bit-for-bit — Go's JSON float encoding round-trips float64 exactly).
+
+// Meta is the stream's header record: the capture label and the series
+// sampling period.
+type Meta struct {
+	Epoch       string  `json:"epoch"`
+	SeriesDtSec float64 `json:"series_dt_sec"`
+}
+
+// Line is one line of a telemetry stream, used both to write and to
+// read it. The records are embedded pointers, so a line encodes flat,
+// with only the fields of the record it carries; decoding allocates the
+// record of every kind whose fields the line names, and Type says which
+// one counts. Streams that interleave telemetry with lines of their own
+// (the result store's entries) embed Line in their own line type.
+type Line struct {
+	Type string `json:"type"` // meta | series | job
+	*Meta
+	*SeriesPoint
+	*JobRecord
+}
 
 // StreamWriter emits a telemetry dataset as NDJSON, incrementally.
 // Errors are sticky: the first write failure is retained and returned by
@@ -31,47 +51,31 @@ type StreamWriter struct {
 	err error
 }
 
-type streamMeta struct {
-	Type        string  `json:"type"`
-	Epoch       string  `json:"epoch"`
-	SeriesDtSec float64 `json:"series_dt_sec"`
-}
-
-type streamSeries struct {
-	Type string `json:"type"`
-	SeriesPoint
-}
-
-type streamJob struct {
-	Type string `json:"type"`
-	JobRecord
-}
-
 // NewStreamWriter starts an NDJSON telemetry stream on w, emitting the
 // meta line immediately.
 func NewStreamWriter(w io.Writer, epoch string, seriesDtSec float64) *StreamWriter {
 	bw := bufio.NewWriter(w)
 	s := &StreamWriter{bw: bw, enc: json.NewEncoder(bw)}
-	s.encode(streamMeta{Type: "meta", Epoch: epoch, SeriesDtSec: seriesDtSec})
+	s.encode(&Line{Type: "meta", Meta: &Meta{Epoch: epoch, SeriesDtSec: seriesDtSec}})
 	return s
 }
 
-func (s *StreamWriter) encode(v any) error {
+func (s *StreamWriter) encode(l *Line) error {
 	if s.err != nil {
 		return s.err
 	}
-	s.err = s.enc.Encode(v)
+	s.err = s.enc.Encode(l)
 	return s.err
 }
 
 // Series appends one system-level sample line.
 func (s *StreamWriter) Series(p SeriesPoint) error {
-	return s.encode(streamSeries{Type: "series", SeriesPoint: p})
+	return s.encode(&Line{Type: "series", SeriesPoint: &p})
 }
 
 // Job appends one Table II job-record line.
 func (s *StreamWriter) Job(r JobRecord) error {
-	return s.encode(streamJob{Type: "job", JobRecord: r})
+	return s.encode(&Line{Type: "job", JobRecord: &r})
 }
 
 // Err returns the first error the stream hit, if any.
@@ -106,72 +110,56 @@ func WriteStream(w io.Writer, d *Dataset) error {
 func ReadStream(r io.Reader) (*Dataset, error) {
 	d := &Dataset{}
 	dec := json.NewDecoder(r)
-	for line := 0; ; line++ {
-		typ, raw, err := NextLine(dec)
-		if err == io.EOF {
+	for n := 0; ; n++ {
+		// A fresh Line per line: decoding into a reused one would write
+		// into the slices of the records already appended.
+		var l Line
+		if err := dec.Decode(&l); err == io.EOF {
 			return d, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
+			return nil, fmt.Errorf("telemetry: stream line %d: %w", n, err)
 		}
-		if typ == "meta" && line != 0 {
-			return nil, fmt.Errorf("telemetry: stream line %d: meta not first", line)
+		if l.Type == "meta" && n != 0 {
+			return nil, fmt.Errorf("telemetry: stream line %d: meta not first", n)
 		}
-		if ok, err := DecodeLine(d, typ, raw); err != nil {
-			return nil, fmt.Errorf("telemetry: stream line %d: %w", line, err)
-		} else if !ok {
-			return nil, fmt.Errorf("telemetry: stream line %d: unknown type %q", line, typ)
+		if err := d.Apply(&l); err != nil {
+			return nil, fmt.Errorf("telemetry: stream line %d: %w", n, err)
 		}
 	}
 }
 
-// NextLine reads one line of a typed NDJSON stream: the line's "type"
-// field and its raw JSON. It returns io.EOF at the end of the stream.
-// Streams that embed telemetry among lines of their own (the result
-// store's entries) read them with NextLine too and hand the telemetry
-// lines to DecodeLine.
-func NextLine(dec *json.Decoder) (string, json.RawMessage, error) {
-	var raw json.RawMessage
-	if err := dec.Decode(&raw); err != nil {
-		return "", nil, err
-	}
-	var probe struct {
-		Type string `json:"type"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
-		return "", nil, err
-	}
-	return probe.Type, raw, nil
-}
-
-// DecodeLine applies one telemetry line of type typ to d: a meta line
-// sets the epoch and series period, series and job lines append. A job
-// line without a positive node count is an error: no replay could ever
-// place it. It reports false, without error, for any other type.
-func DecodeLine(d *Dataset, typ string, raw json.RawMessage) (bool, error) {
-	switch typ {
+// Apply adds one decoded line to d: a meta line sets the epoch and
+// series period, series and job lines append their record. It rejects
+// any other type, and a job line without a positive node count: no
+// replay could ever place it.
+func (d *Dataset) Apply(l *Line) error {
+	switch l.Type {
 	case "meta":
-		var m streamMeta
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return true, err
-		}
+		m := deref(l.Meta)
 		d.Epoch, d.SeriesDtSec = m.Epoch, m.SeriesDtSec
 	case "series":
-		var p streamSeries
-		if err := json.Unmarshal(raw, &p); err != nil {
-			return true, err
+		p := deref(l.SeriesPoint)
+		if len(p.PartPowerW) == 0 {
+			p.PartPowerW = nil // omitempty: empty and absent are one encoding
 		}
-		d.Series = append(d.Series, p.SeriesPoint)
+		d.Series = append(d.Series, p)
 	case "job":
-		var j streamJob
-		if err := json.Unmarshal(raw, &j); err != nil {
-			return true, err
-		}
+		j := deref(l.JobRecord)
 		if j.NodeCount <= 0 {
-			return true, fmt.Errorf("job %d: node count %d is not positive", j.JobID, j.NodeCount)
+			return fmt.Errorf("job %d: node count %d is not positive", j.JobID, j.NodeCount)
 		}
-		d.Jobs = append(d.Jobs, j.JobRecord)
+		d.Jobs = append(d.Jobs, j)
 	default:
-		return false, nil
+		return fmt.Errorf("unknown type %q", l.Type)
 	}
-	return true, nil
+	return nil
+}
+
+// deref returns *p, or the zero value for a record a line did not name.
+func deref[T any](p *T) T {
+	if p == nil {
+		var zero T
+		return zero
+	}
+	return *p
 }

@@ -76,6 +76,9 @@ func TestReadStreamRejectsBadRecords(t *testing.T) {
 		"non-numeric power":   `{"type":"series","time_sec":0,"measured_power_w":"1e6"}`,
 		"unknown type":        `{"type":"cdu","time_sec":0}`,
 		"meta not first":      `{"type":"series","time_sec":0}` + "\n" + `{"type":"meta","epoch":"x"}`,
+		// Every field of a line is decoded, so an ill-typed field of
+		// another record kind fails the line too.
+		"ill-typed foreign field": `{"type":"meta","epoch":"x","job_id":"x"}`,
 	} {
 		if _, err := ReadStream(strings.NewReader(in)); err == nil {
 			t.Errorf("%s: accepted %s", name, in)
@@ -157,8 +160,12 @@ func TestAddSensorNoise(t *testing.T) {
 
 func TestJobsJSONLRoundTripProperty(t *testing.T) {
 	// Arbitrary job records and series points survive the NDJSON
-	// stream round trip bit-exactly.
+	// stream round trip bit-exactly. Two of each, the second with
+	// shorter traces and different values, so a decoder that reused one
+	// record across lines (writing the second line into the first
+	// record's slices) fails.
 	f := func(id int, nodes uint8, submit, wall float64, cpu, gpu, part []float64) bool {
+		cpu, gpu, part = sanitize(cpu), sanitize(gpu), sanitize(part)
 		d := &Dataset{
 			Jobs: []JobRecord{{
 				JobName:    "prop",
@@ -166,17 +173,28 @@ func TestJobsJSONLRoundTripProperty(t *testing.T) {
 				NodeCount:  int(nodes%200) + 1,
 				SubmitTime: math.Mod(math.Abs(submit), 1e6),
 				WallTime:   math.Mod(math.Abs(wall), 1e5),
-				CPUPowerW:  sanitize(cpu),
-				GPUPowerW:  sanitize(gpu),
+				CPUPowerW:  cpu,
+				GPUPowerW:  gpu,
+			}, {
+				JobName:   "prop2",
+				JobID:     id + 1,
+				NodeCount: 1,
+				CPUPowerW: shorter(gpu, cpu),
+				GPUPowerW: shorter(cpu, gpu),
 			}},
 			Series: []SeriesPoint{{
 				TimeSec:        math.Mod(math.Abs(submit), 1e6),
 				MeasuredPowerW: math.Mod(math.Abs(wall), 1e8),
-				PartPowerW:     sanitize(part),
+				PartPowerW:     part,
+			}, {
+				TimeSec:    1,
+				PartPowerW: shorter(cpu, part),
 			}},
 		}
-		if len(d.Series[0].PartPowerW) == 0 {
-			d.Series[0].PartPowerW = nil // omitempty: empty and nil are one encoding
+		for i := range d.Series {
+			if len(d.Series[i].PartPowerW) == 0 {
+				d.Series[i].PartPowerW = nil // omitempty: empty and nil are one encoding
+			}
 		}
 		var buf bytes.Buffer
 		if err := WriteStream(&buf, d); err != nil {
@@ -188,6 +206,20 @@ func TestJobsJSONLRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// shorter returns a trace one sample shorter than like (empty if like
+// is), with values from vals shifted so they differ from like's.
+func shorter(vals, like []float64) []float64 {
+	out := make([]float64, 0, len(like))
+	for i := 0; i+1 < len(like); i++ {
+		v := like[i] + 1
+		if i < len(vals) {
+			v += vals[i]
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 // sanitize strips non-finite values (JSON cannot carry them) and bounds
