@@ -31,11 +31,13 @@ test-race:
 		./internal/core/... ./internal/viz/...
 
 # Short native-fuzzing pass over the decoders of crash-torn and outside
-# bytes: the telemetry stream reader and the store's entry reader. Each
-# starts from its seed corpus under testdata/fuzz.
+# bytes: the telemetry stream reader, the store's entry reader and the
+# sweep journal reader. Each starts from its seed corpus under
+# testdata/fuzz.
 fuzz:
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzReadStream$$' -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReadEntry$$' -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s
 
 # Distributed-sweep fabric suite under the race detector: wire
 # round-trip hash stability, rendezvous sharding, worker health and
@@ -76,10 +78,10 @@ check: vet metrics-lint
 bench-check:
 	cd twinbench && $(GO) vet . && $(GO) test .
 
-# Quick perf smoke: the headline day-replay benchmarks (with the
-# dense-vs-event speedup metric), the multi-day fan-out, the /metrics
-# scrape cost under load, and the surrogate-accelerated optimizer.
+# Benchmark smoke: every twinbench workload for 2 s on seed 1, failing
+# on any failed output check (the seed-1 bit-goldens included), a run
+# with no attempted operation, or a twinbench build error.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'TwinDay|TableIV|RunBatchDays|SweepService|SweepWarmRestart|CoolingVariantSweep|MidDayCancel|MetricsScrapeUnderLoad|CoordinatorSweep|Optimize$$' -benchtime 1x .
+	./scripts/bench_smoke.sh
 
 ci: build vet fmt-check test check bench-check bench-smoke

@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -14,8 +15,8 @@ import (
 // Blobs live under dir/models/ — "models" is not a hex string, so the
 // startup entry scan (which only descends into validKey directories)
 // never confuses the blob area with spec-hash result directories.
-// Writes use the same atomic idiom as result entries: temp file in the
-// destination directory, fsync, rename.
+// Writes go through the same atomic writer as result entries: temp file
+// in the destination directory, fsync, rename.
 
 // blobDir is the subdirectory blobs live in.
 const blobDir = "models"
@@ -53,33 +54,12 @@ func (s *Store) PutBlob(name string, data []byte) error {
 	if !validBlobName(name) {
 		return fmt.Errorf("store: put blob: invalid name %q", name)
 	}
-	dir := filepath.Join(s.dir, blobDir)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: put blob: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("store: put blob: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if _, err := tmp.Write(data); err != nil {
+	if _, err := writeAtomic(s.BlobPath(name), name, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}); err != nil {
 		return fmt.Errorf("store: put blob %s: %w", name, err)
 	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: put blob %s: %w", name, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: put blob %s: %w", name, err)
-	}
-	if err := os.Rename(tmp.Name(), s.BlobPath(name)); err != nil {
-		return fmt.Errorf("store: put blob %s: %w", name, err)
-	}
-	tmp = nil // renamed away; skip the cleanup defer
 	return nil
 }
 

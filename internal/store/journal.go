@@ -27,9 +27,11 @@ package store
 // looks for.
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -143,34 +145,12 @@ func (s *Store) createJournal(m *SweepManifest) (*SweepJournal, error) {
 	if m == nil || !ValidSweepID(m.ID) {
 		return nil, fmt.Errorf("store: journal: invalid sweep id %q", idOf(m))
 	}
-	dir := filepath.Join(s.dir, journalDirName)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	tmp, err := os.CreateTemp(dir, "."+m.ID+".tmp-*")
-	if err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	if err := json.NewEncoder(tmp).Encode(journalLine{Type: "sweep", Sweep: m}); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
-	}
 	path := s.journalPath(m.ID)
-	if err := os.Rename(tmp.Name(), path); err != nil {
+	if _, err := writeAtomic(path, m.ID, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(journalLine{Type: "sweep", Sweep: m})
+	}); err != nil {
 		return nil, fmt.Errorf("store: journal %s: %w", m.ID, err)
 	}
-	tmp = nil
 	return s.openJournalAppend(path)
 }
 
@@ -343,30 +323,46 @@ func (s *Store) ScanJournals() ([]JournalEntry, error) {
 	return out, nil
 }
 
-// readJournal decodes one journal file. Only a missing or malformed
-// manifest line is an error; any later undecodable line is treated as
-// the torn tail of a crash and reading stops there, keeping what came
-// before.
+// readJournal decodes one journal file, one JSON value per line. Only a
+// missing or malformed manifest line is an error; any later line that is
+// not exactly one journal line is treated as the torn tail of a crash and
+// reading stops there, keeping what came before.
 func readJournal(path string) (*JournalEntry, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
+	r := bufio.NewReader(f)
+	next := func(l *journalLine) error {
+		b, err := r.ReadBytes('\n')
+		if len(b) == 0 {
+			return err // io.EOF: a clean end
+		}
+		return json.Unmarshal(b, l)
+	}
 	var first journalLine
-	if err := dec.Decode(&first); err != nil {
+	if err := next(&first); err != nil {
 		return nil, fmt.Errorf("manifest line: %w", err)
 	}
 	if first.Type != "sweep" || first.Sweep == nil {
 		return nil, fmt.Errorf("manifest line: type %q", first.Type)
 	}
 	e := &JournalEntry{Manifest: *first.Sweep, Path: path}
+	// Hold the raw spec and scenarios in the form the writer gives them
+	// (compact, HTML-escaped), so an entry re-encodes to itself.
+	for _, raw := range []*json.RawMessage{&e.Manifest.SpecJSON, &e.Manifest.ScenariosJSON} {
+		if len(*raw) == 0 {
+			return nil, errors.New("manifest line: no spec or scenarios")
+		}
+		if *raw, err = json.Marshal(*raw); err != nil {
+			return nil, fmt.Errorf("manifest line: %w", err)
+		}
+	}
 	latest := make(map[int]int) // scenario index → position in e.Records
 	for {
 		var line journalLine
-		if err := dec.Decode(&line); err != nil {
-			// io.EOF is a clean end; anything else is the torn tail.
+		if next(&line) != nil {
 			break
 		}
 		switch line.Type {

@@ -162,6 +162,40 @@ func TestJournalCorruptManifestQuarantined(t *testing.T) {
 	}
 }
 
+// TestReadJournalLineRules pins what readJournal takes from a line: one
+// whole JSON value. A manifest without its spec or scenarios is
+// malformed, a line holding two values ends the journal like a torn tail,
+// and raw spec bytes are held in the writer's compact form.
+func TestReadJournalLineRules(t *testing.T) {
+	const (
+		man = `{"type":"sweep","sweep":{"id":"sw-1","spec":{ "a": "<b>" },"scenarios":[]}}` + "\n"
+		rec = `{"type":"scenario","scenario":{"index":0,"state":"done"}}`
+	)
+	path := filepath.Join(t.TempDir(), "sw-1"+journalSuffix)
+	read := func(in string) (*JournalEntry, error) {
+		if err := os.WriteFile(path, []byte(in), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return readJournal(path)
+	}
+	if _, err := read(`{"type":"sweep","sweep":{"id":"sw-1","scenarios":[]}}` + "\n"); err == nil {
+		t.Error("manifest without a spec accepted")
+	}
+	e, err := read(man + rec + rec + "\n" + rec + "\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(e.Records) != 0 {
+		t.Errorf("records after a two-value line: %+v", e.Records)
+	}
+	if got, want := string(e.Manifest.SpecJSON), `{"a":"\u003cb\u003e"}`; got != want {
+		t.Errorf("spec held as %s, want %s", got, want)
+	}
+	if e, err = read(man + rec); err != nil || len(e.Records) != 1 {
+		t.Errorf("last line without a newline: %+v, %v", e, err)
+	}
+}
+
 // TestJournalLastRecordPerIndexWins: a retried scenario appends a second
 // record for the same index; the scan keeps only the newest, in the
 // original position.

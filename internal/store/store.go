@@ -355,43 +355,12 @@ func (s *Store) put(specHash, scenHash string, res *core.Result) error {
 	if res == nil {
 		return fmt.Errorf("store: put: nil result")
 	}
-	specDir := filepath.Join(s.dir, specHash)
-	if err := os.MkdirAll(specDir, 0o755); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	tmp, err := os.CreateTemp(specDir, "."+scenHash+".tmp-*")
+	size, err := writeAtomic(s.EntryPath(specHash, scenHash), scenHash, func(w io.Writer) error {
+		return writeEntry(w, specHash, scenHash, res)
+	})
 	if err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			_ = os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriter(tmp)
-	if err := writeEntry(bw, specHash, scenHash, res); err != nil {
 		return fmt.Errorf("store: put %s/%s: %w", specHash, scenHash, err)
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	fi, err := tmp.Stat()
-	if err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	size := fi.Size()
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	path := s.EntryPath(specHash, scenHash)
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("store: put: %w", err)
-	}
-	tmp = nil // renamed away; skip the cleanup defer
 
 	key := specHash + "/" + scenHash
 	s.mu.Lock()
@@ -402,6 +371,45 @@ func (s *Store) put(specHash, scenHash string, res *core.Result) error {
 	s.bytes += size
 	s.mu.Unlock()
 	return nil
+}
+
+// writeAtomic durably creates or replaces the file at path with what
+// write produces, atomically: the bytes stream through a buffer into a
+// ".<name>.tmp-*" sibling, which is fsynced, closed and renamed into
+// place, so the file is visible in full or not at all. On any error the
+// temp file is removed. It returns the file's size.
+func writeAtomic(path, name string, write func(io.Writer) error) (int64, error) {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return 0, err
+	}
+	tmp, err := os.CreateTemp(dir, "."+name+".tmp-*")
+	if err != nil {
+		return 0, err
+	}
+	bw := bufio.NewWriter(tmp)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	var fi os.FileInfo
+	if err == nil {
+		fi, err = tmp.Stat()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
+		return 0, err
+	}
+	return fi.Size(), nil
 }
 
 func writeEntry(w io.Writer, specHash, scenHash string, res *core.Result) error {
