@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test test-short test-race fuzz cluster-test chaos multihost-smoke check metrics-lint bench-check bench-smoke ci
+.PHONY: all build vet fmt-check test test-short test-race fuzz cluster-test chaos multihost-smoke check metrics-lint bench-check bench-smoke bench-ab ci
 
 all: build vet test
 
@@ -83,5 +83,16 @@ bench-check:
 # with no attempted operation, or a twinbench build error.
 bench-smoke:
 	./scripts/bench_smoke.sh
+
+# Paired A/B benchmark of the working tree against REV: ABBA-interleaved
+# twinbench runs per seed, each metric's paired-ratio median and range,
+# and a verdict against BENCHMARK.json's bounds. Minutes per seed; not
+# part of ci.
+REV ?= HEAD
+WORKLOAD ?= cold-replay
+SEEDS ?= 1 7
+PAIRS ?= 10
+bench-ab:
+	./scripts/bench_ab.sh $(REV) $(WORKLOAD) "$(SEEDS)" $(PAIRS)
 
 ci: build vet fmt-check test check bench-check bench-smoke

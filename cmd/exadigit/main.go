@@ -17,7 +17,7 @@
 //	exadigit [-addr :8080] [-workload synthetic] [-horizon 2h]
 //	         [-cooling] [-once]
 //	exadigit serve [-addr :8080] [-workers N|url,url,...] [-cache 1024]
-//	               [-cache-bytes 268435456] [-spec spec.json] [-warm 15m]
+//	               [-cache-bytes 0] [-spec spec.json] [-warm 15m]
 //	               [-presets plants.json] [-token SECRET]
 //	               [-store DIR] [-lease-ttl 0] [-quarantine-ttl 0]
 //	               [-shard-stall 2m] [-scenario-timeout 0]
@@ -122,7 +122,7 @@ func serve(args []string) {
 		addr       = fs.String("addr", ":8080", "HTTP listen address")
 		workers    = fs.String("workers", "0", "an integer bounds concurrent local simulations (0 = all CPUs); comma-separated base URLs (http://host:8080,...) switch to coordinator mode, fanning sweeps out to those worker serve instances")
 		cacheCap   = fs.Int("cache", 1024, "result-cache capacity (scenario results)")
-		cacheBytes = fs.Int64("cache-bytes", 256<<20, "result-cache byte bound (approximate resident size)")
+		cacheBytes = fs.Int64("cache-bytes", 0, "byte bound (approximate resident size) on the result cache and on finished sweeps' results (0 = the service default)")
 		specPath   = fs.String("spec", "", "system spec JSON for the dashboard twin (default: built-in Frontier)")
 		warm       = fs.Duration("warm", 15*time.Minute, "warm-up scenario horizon for the dashboard twin (0 skips)")
 		presets    = fs.String("presets", "", "cooling preset registry JSON ({\"name\": {plant config}}), resolved before built-ins")
@@ -305,7 +305,7 @@ func serve(args []string) {
 	}
 
 	log.Printf("serving twin-as-a-service on %s (%d workers, cache %d entries / %d MiB)",
-		*addr, svc.Workers(), *cacheCap, *cacheBytes>>20)
+		*addr, svc.Workers(), *cacheCap, svc.CacheMaxBytes()>>20)
 	log.Printf("  POST /api/sweeps               — submit a scenario sweep (per-scenario cooling_spec mixes plants)")
 	log.Printf("  GET  /api/sweeps               — list sweeps")
 	log.Printf("  GET  /api/sweeps/{id}          — sweep status")

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -372,5 +373,62 @@ func TestHTTPMetricsFailureAndStoreSections(t *testing.T) {
 		if !strings.Contains(sum, want) {
 			t.Errorf("summary %q missing %q", sum, want)
 		}
+	}
+}
+
+// TestHTTPByteBoundKeepsUnreadSweeps: under a byte bound every finished
+// sweep exceeds, a sweep that finished before the next submission is
+// still served to a client that streams it only afterwards (as the
+// coordinator does after submitting a shard), and only once it has been
+// read does a later submission prune it.
+func TestHTTPByteBoundKeepsUnreadSweeps(t *testing.T) {
+	svc := New(Options{Workers: 1, CacheMaxBytes: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	submit := func(seed int64) string {
+		t.Helper()
+		gen := job.DefaultGeneratorConfig()
+		gen.Seed = seed
+		ack := postSweep(t, srv.URL, SubmitRequest{Scenarios: []ScenarioRequest{{
+			Workload: "synthetic", HorizonSec: 900, TickSec: 15, Generator: &gen,
+		}}})
+		sw, ok := svc.Sweep(ack.ID)
+		if !ok {
+			t.Fatalf("sweep %s not registered", ack.ID)
+		}
+		waitSweep(t, sw)
+		return ack.ID
+	}
+	get := func(path string) (int, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+
+	first := submit(501)
+	second := submit(502)
+	code, body := get("/api/sweeps/" + first + "/stream")
+	if code != http.StatusOK {
+		t.Fatalf("stream of a finished, unread sweep after the next submission: HTTP %d", code)
+	}
+	var entry ResultEntry
+	if err := json.Unmarshal(body, &entry); err != nil || entry.Report == nil {
+		t.Fatalf("stream entry %q: %v", body, err)
+	}
+
+	submit(503)
+	if code, _ := get("/api/sweeps/" + first); code != http.StatusNotFound {
+		t.Fatalf("read sweep past the byte bound still served: HTTP %d", code)
+	}
+	if code, _ := get("/api/sweeps/" + second + "/results"); code != http.StatusOK {
+		t.Fatalf("unread sweep pruned: HTTP %d", code)
 	}
 }

@@ -16,6 +16,9 @@ type tracked interface {
 	Done() <-chan struct{}
 	Cancel()
 	changed() <-chan struct{}
+	// pinned estimates the resident bytes of the results j holds, and
+	// reports whether a reader has taken them whole since j finished.
+	pinned() (bytes int64, read bool)
 }
 
 // finished reports whether j has reached a terminal state.
@@ -41,17 +44,22 @@ func newID(prefix string) string {
 }
 
 // registry indexes sweeps or studies by id in submission order. Past
-// max entries, add drops the oldest finished ones, never a running one,
-// so a long-running server's memory (and the results each entry pins)
-// stays bounded. Callers hold Service.mu.
+// max entries, or past maxBytes of results pinned by its finished
+// entries, add drops the oldest finished ones, so a long-running
+// server's memory stays bounded. It never drops a running entry, whose
+// results count against the result cache instead, nor, for the byte
+// bound, a finished one whose results nobody has read yet: a client that
+// submits and then fetches or streams must find its sweep. Callers hold
+// Service.mu.
 type registry[J tracked] struct {
-	max   int
-	byID  map[string]J
-	order []string // ids, oldest first
+	max      int
+	maxBytes int64 // bound on Σ pinned over finished entries
+	byID     map[string]J
+	order    []string // ids, oldest first
 }
 
-func newRegistry[J tracked](max int) registry[J] {
-	return registry[J]{max: max, byID: make(map[string]J)}
+func newRegistry[J tracked](max int, maxBytes int64) registry[J] {
+	return registry[J]{max: max, maxBytes: maxBytes, byID: make(map[string]J)}
 }
 
 func (r *registry[J]) get(id string) (J, bool) {
@@ -64,15 +72,26 @@ func (r *registry[J]) add(j J) (pruned []J) {
 	r.byID[j.ID()] = j
 	r.order = append(r.order, j.ID())
 	excess := len(r.order) - r.max
-	if excess <= 0 {
+	done := make([]bool, len(r.order)) // snapshot: a job may finish meanwhile
+	var bytes int64
+	for i, id := range r.order {
+		if done[i] = finished(r.byID[id]); done[i] {
+			b, _ := r.byID[id].pinned()
+			bytes += b
+		}
+	}
+	if excess <= 0 && bytes <= r.maxBytes {
 		return nil
 	}
 	kept := r.order[:0]
-	for _, id := range r.order {
-		if old := r.byID[id]; excess > 0 && finished(old) {
+	for i, id := range r.order {
+		old := r.byID[id]
+		b, read := old.pinned()
+		if done[i] && (excess > 0 || (bytes > r.maxBytes && read)) {
 			delete(r.byID, id)
 			pruned = append(pruned, old)
 			excess--
+			bytes -= b
 			continue
 		}
 		kept = append(kept, id)

@@ -89,6 +89,10 @@ func (st *Study) Cancel() { st.cancel() }
 // Done returns a channel closed once the study reaches a terminal state.
 func (st *Study) Done() <-chan struct{} { return st.done }
 
+// pinned: a study's result is a small summary, left out of the registry's
+// byte bound.
+func (st *Study) pinned() (int64, bool) { return 0, true }
+
 // Wait blocks until the study finishes or ctx expires.
 func (st *Study) Wait(ctx context.Context) error {
 	select {

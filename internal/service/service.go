@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,16 +42,22 @@ type Options struct {
 	// CacheCap bounds the number of cached scenario results; the oldest
 	// completed entries are evicted first (0 → 1024).
 	CacheCap int
-	// CacheMaxBytes bounds the cache by approximate resident size —
-	// the primary production bound, since results vary from a bare
-	// report (~2 KB) to multi-day telemetry exports (megabytes). Each
-	// result's size is estimated at insert; the oldest completed entries
-	// are evicted until the total fits (0 → 256 MiB).
+	// CacheMaxBytes bounds, by approximate resident size, both the
+	// result cache and the results finished sweeps pin — the primary
+	// production bound, since results vary from a bare report (~2 KB) to
+	// multi-day telemetry exports (megabytes). Each result's size is
+	// estimated when it is recorded; the oldest completed cache entries
+	// are evicted until the cache fits, and at each submission the oldest
+	// finished sweeps whose results have been read are dropped until the
+	// finished sweeps fit. Sweeps share cached results, so the two
+	// together usually pin about one bound; Go's collector lets the heap
+	// grow to about twice what is live, so the default is half the
+	// intended resident size (0 → 128 MiB).
 	CacheMaxBytes int64
 	// MaxSweeps bounds how many finished sweeps are retained for status
-	// and result recall; beyond it the oldest finished sweeps (and the
-	// results they pin) are dropped so a long-running server's memory
-	// stays bounded (0 → 256).
+	// and result recall; beyond it the oldest finished sweeps, read or
+	// not, are dropped so a long-running server's memory stays bounded
+	// (0 → 256).
 	MaxSweeps int
 	// Store layers a durable on-disk result store under the in-memory
 	// cache: lookups go memory → disk → compute (single-flight preserved
@@ -185,7 +192,7 @@ func New(opts Options) *Service {
 		opts.CacheCap = 1024
 	}
 	if opts.CacheMaxBytes <= 0 {
-		opts.CacheMaxBytes = 256 << 20
+		opts.CacheMaxBytes = 128 << 20
 	}
 	if opts.MaxSweeps <= 0 {
 		opts.MaxSweeps = 256
@@ -226,9 +233,9 @@ func New(opts Options) *Service {
 		retryMax:        opts.RetryMaxDelay,
 		maxPending:      opts.MaxPending,
 		specs:           make(map[string]*core.CompiledSpec),
-		sweeps:          newRegistry[*Sweep](opts.MaxSweeps),
+		sweeps:          newRegistry[*Sweep](opts.MaxSweeps, opts.CacheMaxBytes),
 		keys:            make(map[string]string),
-		studies:         newRegistry[*Study](opts.MaxSweeps),
+		studies:         newRegistry[*Study](opts.MaxSweeps, opts.CacheMaxBytes),
 	}
 	s.registerMetrics()
 	return s
@@ -368,6 +375,13 @@ func (s *Service) Store() *store.Store { return s.store }
 
 // Workers returns the pool capacity.
 func (s *Service) Workers() int { return s.workers }
+
+// CacheMaxBytes returns the resident-size bound in force on the result
+// cache and on finished sweeps' results (Options.CacheMaxBytes).
+func (s *Service) CacheMaxBytes() int64 {
+	_, _, _, maxBytes := s.cache.stats()
+	return maxBytes
+}
 
 // SetLogf enables request logging through the shared middleware stack
 // (log.Printf-shaped; nil keeps logging off). Call before Handler.
@@ -513,6 +527,9 @@ type Sweep struct {
 	changes  // guards and broadcasts the fields below
 	statuses []ScenarioStatus
 	results  []*core.Result
+
+	resultBytes atomic.Int64 // Σ approxResultBytes over results
+	read        atomic.Bool  // Results has handed out every terminal result
 }
 
 // Cache tiers a scenario span reports (obs.Span.CacheTier).
@@ -943,6 +960,10 @@ func (s *Service) Cancel(id string) error {
 // ID returns the sweep's identifier.
 func (sw *Sweep) ID() string { return sw.id }
 
+// pinned estimates the resident size of the results sw holds and
+// reports whether Results has returned them with every scenario terminal.
+func (sw *Sweep) pinned() (int64, bool) { return sw.resultBytes.Load(), sw.read.Load() }
+
 // SpecHash returns the compiled spec's content hash.
 func (sw *Sweep) SpecHash() string { return sw.specHash }
 
@@ -1005,12 +1026,17 @@ func (sw *Sweep) Status() SweepStatus {
 // from the shared cache — treat them as read-only. For a sweep recovered
 // from the journal, results of journal-terminal scenarios are loaded
 // lazily from the durable store on first demand (recovery itself only
-// verifies they exist, so startup stays cheap).
+// verifies they exist, so startup stays cheap). Once Results has
+// returned with every scenario terminal, the registry's byte bound may
+// drop the finished sweep; until then it keeps it.
 func (sw *Sweep) Results() []*core.Result {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	if sw.recovered {
 		sw.loadRecoveredLocked()
+	}
+	if !sw.read.Load() && !slices.ContainsFunc(sw.statuses, func(st ScenarioStatus) bool { return !st.Terminal() }) {
+		sw.read.Store(true)
 	}
 	return append([]*core.Result(nil), sw.results...)
 }
@@ -1034,6 +1060,7 @@ func (sw *Sweep) loadRecoveredLocked() {
 		}
 		if res, err := st.Get(sw.specHash, sc.Hash); err == nil {
 			sw.results[i] = res
+			sw.resultBytes.Add(approxResultBytes(res))
 		}
 	}
 }
@@ -1354,6 +1381,9 @@ func (sw *Sweep) record(i int, res *core.Result, err error, tier string) {
 		default:
 			st.State = StateDone
 			sw.results[i] = res
+		}
+		if err == nil {
+			sw.resultBytes.Add(approxResultBytes(res))
 		}
 		if res != nil {
 			st.WallSec = res.WallSec

@@ -371,3 +371,57 @@ func TestSweepRetentionBounded(t *testing.T) {
 		t.Error("removed sweep still listed")
 	}
 }
+
+// TestSweepRetentionByteBounded: once their results have been read,
+// finished sweeps whose exported results pin more than CacheMaxBytes are
+// pruned oldest first at the next submission, well before MaxSweeps,
+// while the newest sweep's result stays readable.
+func TestSweepRetentionByteBounded(t *testing.T) {
+	exported := func(seed int64) core.Scenario {
+		sc := synthScenario(seed, 1800)
+		sc.NoExport = false
+		return sc
+	}
+	probe := New(Options{Workers: 1})
+	sw, err := probe.Submit(config.Frontier(), []core.Scenario{exported(400)}, SweepOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitSweep(t, sw)
+	one := approxResultBytes(sw.Results()[0])
+	if b, read := sw.pinned(); sw.Results()[0].Dataset == nil || b != one || !read {
+		t.Fatalf("probe sweep pins %d bytes (read %v), its export %d", b, read, one)
+	}
+
+	bound := one * 5 / 2
+	svc := New(Options{Workers: 1, CacheMaxBytes: bound})
+	const n = 6
+	for i := 0; i < n; i++ {
+		sw, err := svc.Submit(config.Frontier(), []core.Scenario{exported(int64(410 + i))}, SweepOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc.mu.Lock()
+		var pinned int64
+		for _, kept := range svc.sweeps.list() {
+			if kept != sw {
+				b, _ := kept.pinned()
+				pinned += b
+			}
+		}
+		svc.mu.Unlock()
+		if pinned > bound {
+			t.Fatalf("sweep %d: earlier sweeps kept at submission pin %d bytes, bound %d", i, pinned, bound)
+		}
+		waitSweep(t, sw)
+		if res := sw.Results()[0]; res == nil || res.Dataset == nil {
+			t.Fatalf("sweep %d: newest result not readable", i)
+		}
+		if _, ok := svc.Sweep(sw.ID()); !ok {
+			t.Fatalf("sweep %d: newest sweep pruned", i)
+		}
+	}
+	if kept := len(svc.List()); kept >= n || kept < 2 {
+		t.Fatalf("retained %d of %d sweeps under a %d-byte bound on ~%d-byte results", kept, n, bound, one)
+	}
+}
